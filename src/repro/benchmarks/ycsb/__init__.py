@@ -5,6 +5,7 @@ Paper Table 1 class: Feature Testing — "Scalable Key-value Store".
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from ...core.benchmark import BenchmarkModule, CLASS_FEATURE
@@ -42,7 +43,11 @@ class YcsbBenchmark(BenchmarkModule):
         if batch:
             self.database.bulk_insert("usertable", batch)
         self.params["record_count"] = record_count
+        self.params["insert_key_counter"] = itertools.count(record_count)
 
     def _derive_params(self) -> None:
         self.params["record_count"] = int(
             self.scalar("SELECT COUNT(*) FROM usertable") or 0) or 1
+        next_key = int(
+            self.scalar("SELECT MAX(ycsb_key) FROM usertable") or -1) + 1
+        self.params["insert_key_counter"] = itertools.count(next_key)

@@ -105,10 +105,9 @@ class InsertRecord(_YcsbProcedure):
     default_weight = 10
 
     def run(self, conn, rng):
-        # Claim the next key past the tail; retry window keeps concurrent
-        # inserters from colliding deterministically.
-        tail = int(self.params["record_count"])
-        key = tail + rng.randrange(1_000_000)
+        # Claim the next key past the tail from the benchmark-wide
+        # counter, so concurrent inserters never collide.
+        key = next(self.params["insert_key_counter"])
         cur = conn.cursor()
         cur.execute(
             f"INSERT INTO usertable (ycsb_key, {ALL_FIELDS}) "

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from ..errors import ProgrammingError
 from .catalog import Catalog, ColumnDef, IndexDef, TableSchema
 from .executor import Executor, Result
-from .plan import LruCache, PlanCache, Unsupported, compile_statement
+from .plan import LruCache, PlanCache, compile_statement
 from .sqlparser import ast, parse
 from .storage import TableData
 from .txn import SERIALIZABLE, Transaction, TransactionManager
@@ -33,7 +33,6 @@ class EngineCounters:
     rows_deleted: int = 0
     statements: int = 0
     plan_executions: int = 0
-    interpreted_executions: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return {
@@ -43,12 +42,11 @@ class EngineCounters:
             "rows_deleted": self.rows_deleted,
             "statements": self.statements,
             "plan_executions": self.plan_executions,
-            "interpreted_executions": self.interpreted_executions,
         }
 
 
 class PreparedStatement:
-    """A parsed statement plus its compiled plan (None = interpret).
+    """A parsed statement plus its compiled plan (None for DDL/control).
 
     Produced by :meth:`Database.prepare_exec`; the DB-API layer holds
     one per ``executemany`` call so the parse/plan cost is paid once.
@@ -70,8 +68,7 @@ class Database:
     def __init__(self, name: str = "main",
                  lock_timeout: float = 5.0, clock=None, *,
                  stmt_cache_size: int = 512,
-                 plan_cache_size: int = 256,
-                 use_compiled_plans: bool = True) -> None:
+                 plan_cache_size: int = 256) -> None:
         self.name = name
         self.catalog = Catalog()
         # ``clock`` (a repro.clock.Clock or monotonic callable) feeds the
@@ -84,7 +81,6 @@ class Database:
         self._executor = Executor(self)
         self._stmt_cache = LruCache(stmt_cache_size)
         self.plan_cache = PlanCache(plan_cache_size)
-        self.use_compiled_plans = use_compiled_plans
 
     # -- storage access ----------------------------------------------------
 
@@ -119,15 +115,12 @@ class Database:
 
         The plan cache is keyed by ``(sql, catalog_version)``, so plans
         compiled before a DDL statement can never be served after it.
-        Statements the compiler cannot handle cache a ``None`` plan and
-        run interpreted.
+        DDL and transaction-control statements carry no plan.
         """
         stmt = self.prepare(sql)
         return PreparedStatement(sql, stmt, self._plan_for(sql, stmt))
 
     def _plan_for(self, sql: str, stmt: ast.Statement):
-        if not self.use_compiled_plans:
-            return None
         if not isinstance(stmt, (ast.Select, ast.Insert, ast.Update,
                                  ast.Delete)):
             return None
@@ -135,12 +128,8 @@ class Database:
         hit, plan = self.plan_cache.lookup(key)
         if hit:
             return plan
-        try:
-            plan = compile_statement(stmt, self.catalog)
-        except Unsupported:
-            plan = None
-        # Semantic ProgrammingErrors propagate uncached: the statement
-        # is broken, not merely uncompilable.
+        # Semantic ProgrammingErrors propagate uncached.
+        plan = compile_statement(stmt, self.catalog)
         self.plan_cache.put(key, plan)
         return plan
 
@@ -160,11 +149,8 @@ class Database:
                 "use the connection's commit()/rollback() methods")
         if txn is None or not txn.active:
             raise ProgrammingError("no active transaction")
-        if prepared.plan is not None:
-            self.counters.plan_executions += 1
-            return self._executor.execute_plan(txn, prepared.plan, params)
-        self.counters.interpreted_executions += 1
-        return self._executor.execute(txn, prepared.stmt, params)
+        self.counters.plan_executions += 1
+        return self._executor.execute(txn, prepared.plan, params)
 
     # -- transactions ---------------------------------------------------------
 

@@ -1,103 +1,20 @@
-"""Expression evaluation with SQL three-valued logic.
+"""SQL operator semantics with three-valued logic.
 
-The evaluator works over a :class:`RowContext` that maps table bindings
-(alias or table name) to ``(schema, row values)`` pairs.  ``None`` results
-represent SQL NULL / UNKNOWN and propagate through comparisons; AND/OR
-follow Kleene logic.
+These helpers apply operators and scalar functions to already-evaluated
+operands; :mod:`repro.engine.plan` compiles expressions into closures
+that call them.  ``None`` represents SQL NULL / UNKNOWN and propagates
+through comparisons; AND/OR follow Kleene logic.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..errors import DataError, ProgrammingError
-from .catalog import TableSchema
-from .sqlparser import ast
 from .types import compare_values
-
-
-class RowContext:
-    """Column-name resolution over the rows currently in scope."""
-
-    __slots__ = ("bindings",)
-
-    def __init__(self, bindings: dict[str, tuple[TableSchema, Optional[tuple]]]):
-        self.bindings = bindings
-
-    def resolve(self, table: Optional[str], column: str) -> object:
-        if table is not None:
-            try:
-                schema, values = self.bindings[table]
-            except KeyError:
-                raise ProgrammingError(f"unknown table binding {table!r}") from None
-            if values is None:
-                return None
-            return values[schema.position(column)]
-        matches = [
-            (schema, values) for schema, values in self.bindings.values()
-            if schema.has_column(column)
-        ]
-        if not matches:
-            raise ProgrammingError(f"unknown column {column!r}")
-        if len(matches) > 1:
-            raise ProgrammingError(f"ambiguous column {column!r}")
-        schema, values = matches[0]
-        if values is None:
-            return None
-        return values[schema.position(column)]
-
-
-_EMPTY_CONTEXT = RowContext({})
 
 _ARITHMETIC = {"+", "-", "*", "/", "%"}
 _COMPARISON = {"=", "<>", "<", "<=", ">", ">="}
-
-
-def evaluate(expr: ast.Expr, ctx: Optional[RowContext],
-             params: Sequence[object] = ()) -> object:
-    """Evaluate ``expr`` against ``ctx``; returns a Python value or None."""
-    if ctx is None:
-        ctx = _EMPTY_CONTEXT
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param):
-        try:
-            return params[expr.index]
-        except IndexError:
-            raise ProgrammingError(
-                f"statement expects at least {expr.index + 1} parameters, "
-                f"got {len(params)}") from None
-    if isinstance(expr, ast.ColumnRef):
-        return ctx.resolve(expr.table, expr.column)
-    if isinstance(expr, ast.BinaryOp):
-        return _eval_binary(expr, ctx, params)
-    if isinstance(expr, ast.UnaryOp):
-        return _eval_unary(expr, ctx, params)
-    if isinstance(expr, ast.Between):
-        value = evaluate(expr.value, ctx, params)
-        low = evaluate(expr.low, ctx, params)
-        high = evaluate(expr.high, ctx, params)
-        ge = _compare_bool(value, low, ">=")
-        le = _compare_bool(value, high, "<=")
-        result = _kleene_and(ge, le)
-        return _maybe_negate(result, expr.negated)
-    if isinstance(expr, ast.InList):
-        return _eval_in(expr, ctx, params)
-    if isinstance(expr, ast.Like):
-        return _eval_like(expr, ctx, params)
-    if isinstance(expr, ast.IsNull):
-        value = evaluate(expr.value, ctx, params)
-        return (value is None) != expr.negated
-    if isinstance(expr, ast.FuncCall):
-        return _eval_scalar_func(expr, ctx, params)
-    if isinstance(expr, ast.CaseExpr):
-        for cond, val in expr.branches:
-            if evaluate(cond, ctx, params) is True:
-                return evaluate(val, ctx, params)
-        if expr.default is not None:
-            return evaluate(expr.default, ctx, params)
-        return None
-    raise ProgrammingError(f"cannot evaluate expression node {expr!r}")
 
 
 def is_true(value: object) -> bool:
@@ -105,19 +22,10 @@ def is_true(value: object) -> bool:
     return value is True
 
 
-def _maybe_negate(value: Optional[bool], negated: bool) -> Optional[bool]:
-    if value is None or not negated:
-        return value
-    return not value
-
-
 def apply_binary(op: str, left: object, right: object) -> object:
     """Apply a binary operator to already-evaluated operands.
 
-    Shared by the tree-walking evaluator and the compiled-plan closures
-    (``repro.engine.plan``) so both paths have identical SQL semantics.
-    Note AND/OR are *eager* over evaluated operands, matching the
-    interpreter (no short-circuit).
+    Note AND/OR are *eager* over evaluated operands (no short-circuit).
     """
     if op == "and":
         return _kleene_and(_as_bool(left), _as_bool(right))
@@ -148,45 +56,6 @@ def apply_unary(op: str, value: object) -> object:
             raise DataError(f"cannot negate {value!r}")
         return -value
     raise ProgrammingError(f"unknown unary operator {op!r}")
-
-
-def _eval_binary(expr: ast.BinaryOp, ctx: RowContext,
-                 params: Sequence[object]) -> object:
-    return apply_binary(expr.op, evaluate(expr.left, ctx, params),
-                        evaluate(expr.right, ctx, params))
-
-
-def _eval_unary(expr: ast.UnaryOp, ctx: RowContext,
-                params: Sequence[object]) -> object:
-    return apply_unary(expr.op, evaluate(expr.operand, ctx, params))
-
-
-def _eval_in(expr: ast.InList, ctx: RowContext,
-             params: Sequence[object]) -> object:
-    value = evaluate(expr.value, ctx, params)
-    if value is None:
-        return None
-    saw_null = False
-    for option in expr.options:
-        candidate = evaluate(option, ctx, params)
-        result = _compare_bool(value, candidate, "=")
-        if result is True:
-            return not expr.negated
-        if result is None:
-            saw_null = True
-    if saw_null:
-        return None
-    return expr.negated
-
-
-def _eval_like(expr: ast.Like, ctx: RowContext,
-               params: Sequence[object]) -> object:
-    value = evaluate(expr.value, ctx, params)
-    pattern = evaluate(expr.pattern, ctx, params)
-    if value is None or pattern is None:
-        return None
-    matched = like_match(_stringify(value), _stringify(pattern))
-    return matched != expr.negated
 
 
 def like_match(text: str, pattern: str) -> bool:
@@ -227,27 +96,10 @@ _SCALAR_FUNCS = frozenset({
 AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
 
 
-def is_aggregate_call(expr: ast.Expr) -> bool:
-    return isinstance(expr, ast.FuncCall) and expr.name in AGGREGATES
-
-
-def _eval_scalar_func(expr: ast.FuncCall, ctx: RowContext,
-                      params: Sequence[object]) -> object:
-    name = expr.name
-    if name in AGGREGATES:
-        raise ProgrammingError(
-            f"aggregate {name!r} used outside aggregation context")
-    if name not in _SCALAR_FUNCS:
-        raise ProgrammingError(f"unknown function {name!r}")
-    return apply_scalar_func(
-        name, [evaluate(arg, ctx, params) for arg in expr.args])
-
-
 def apply_scalar_func(name: str, args: list) -> object:
     """Apply a known scalar function to already-evaluated arguments.
 
-    Shared by the tree-walking evaluator and compiled-plan closures;
-    callers have already validated that ``name`` is in
+    Callers have already validated that ``name`` is in
     :data:`_SCALAR_FUNCS`.
     """
     if name == "coalesce":

@@ -1,31 +1,28 @@
-"""Compile-once query plans for the embedded engine's hot path.
+"""Compile-once query plans: the engine's only SQL execution path.
 
-The interpreted :class:`~repro.engine.executor.Executor` re-derives
-sources, access paths, and projections on every call, and
-``expr.evaluate`` walks the AST with ``isinstance`` dispatch plus
-per-row column-name resolution.  This module pays that analysis cost
-once per ``(sql, catalog_version)``:
+Every SELECT/INSERT/UPDATE/DELETE is compiled once per
+``(sql, catalog_version)`` into a plan that
+:class:`~repro.engine.executor.Executor` runs:
 
 * every ``ColumnRef`` is resolved at compile time to a fixed
   ``(source slot, tuple index)`` pair;
 * predicates, projections, order keys, and aggregate arguments are
-  compiled into nested Python closures with the exact three-valued
-  semantics of the interpreter (shared via ``expr.apply_binary`` /
-  ``apply_unary`` / ``apply_scalar_func``);
+  compiled into nested Python closures with SQL three-valued semantics
+  (the operators live in ``expr.apply_binary`` / ``apply_unary`` /
+  ``apply_scalar_func``);
 * each source's access path — equality-index probe, integer-PK range
-  unroll, or full scan — is chosen once, with the same runtime
-  fallback cascade the interpreter uses when a probe key cannot be
-  evaluated.
+  unroll, or full scan — is chosen once, with a runtime fallback
+  cascade for when a probe key cannot be evaluated.
 
 A compiled closure takes ``(rows, params)`` where ``rows`` is an
 indexable sequence of per-slot row tuples (``None`` for a missed LEFT
-JOIN side) and returns a plain value; NULL is ``None`` throughout.
+JOIN side, or for every slot of an empty aggregate group) and returns
+a plain value; NULL is ``None`` throughout.
 
 Semantic errors (unknown/ambiguous columns, unknown tables, bad
 aggregate usage) surface here at *prepare* time as
-:class:`ProgrammingError` with the same messages the interpreter
-raises mid-scan.  Statement shapes the compiler does not understand
-raise :class:`Unsupported`, which callers treat as "run interpreted".
+:class:`ProgrammingError`.  The answers are checked against stdlib
+``sqlite3`` by the differential tests in ``tests/engine``.
 
 The module also hosts the generic :class:`LruCache` (statement cache)
 and :class:`PlanCache` (plans keyed by ``(sql, catalog_version)``,
@@ -45,39 +42,32 @@ from ..errors import ProgrammingError
 from .catalog import Catalog, ColumnDef, IndexDef, TableSchema
 from .expr import (AGGREGATES, _SCALAR_FUNCS, _compare_bool, _kleene_and,
                    _stringify, apply_binary, apply_scalar_func, apply_unary,
-                   evaluate, like_match)
+                   like_match)
 from .sqlparser import ast
 
 #: A compiled expression: ``fn(rows, params) -> value``.
 ExprFn = Callable[[Sequence[Optional[tuple]], Sequence[object]], object]
 
-#: A compiled aggregate-context expression:
-#: ``fn(agg_values, first_rows, params) -> value``.
-AggFn = Callable[["LazyAggs", Optional[Sequence[Optional[tuple]]],
-                  Sequence[object]], object]
-
-
-class Unsupported(Exception):
-    """Statement shape the plan compiler cannot handle; run interpreted.
-
-    Deliberately *not* a DatabaseError subclass: it must never escape
-    to callers — :meth:`Database.prepare_exec` catches it and falls
-    back to the tree-walking executor.
-    """
-
 
 class Scope:
     """Compile-time column resolution over the plan's source slots.
 
-    Mirrors :class:`repro.engine.expr.RowContext` resolution — same
-    lookup rules, same error messages — but resolves once, to a fixed
-    ``(slot, position)`` pair, instead of per row.
+    A qualified reference resolves by binding; an unqualified one must
+    name a column of exactly one source.  Either way it resolves once,
+    to a fixed ``(slot, position)`` pair, instead of per row.
+
+    In an aggregate scope, ``register`` maps each aggregate call to an
+    index into the group's :class:`LazyAggs`, which the executor passes
+    in the slot after the sources.
     """
 
-    __slots__ = ("slots",)
+    __slots__ = ("slots", "register")
 
-    def __init__(self, slots: Sequence[tuple[str, TableSchema]]) -> None:
+    def __init__(self, slots: Sequence[tuple[str, TableSchema]],
+                 register: Optional[Callable[[ast.FuncCall], int]] = None
+                 ) -> None:
         self.slots = list(slots)
+        self.register = register
 
     def resolve(self, table: Optional[str], column: str) -> tuple[int, int]:
         if table is not None:
@@ -135,7 +125,7 @@ def tuple_fn(fns: Sequence[ExprFn]) -> ExprFn:
 
 
 def compile_expr(expr: ast.Expr, scope: Scope) -> ExprFn:
-    """Compile ``expr`` into a closure with ``evaluate``'s semantics."""
+    """Compile ``expr`` into a ``(rows, params) -> value`` closure."""
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda rows, params: value
@@ -176,8 +166,8 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> ExprFn:
                     return direct(lv, rv)
                 return _compare_bool(lv, rv, op)
             return cmp_fn
-        # AND/OR stay eager over both operands, exactly like the
-        # interpreter (errors and NULLs from either side are observed).
+        # AND/OR stay eager over both operands (errors and NULLs from
+        # either side are observed).
         return lambda rows, params: apply_binary(
             op, left(rows, params), right(rows, params))
     if isinstance(expr, ast.UnaryOp):
@@ -236,8 +226,12 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> ExprFn:
     if isinstance(expr, ast.FuncCall):
         name = expr.name
         if name in AGGREGATES:
-            raise ProgrammingError(
-                f"aggregate {name!r} used outside aggregation context")
+            if scope.register is None:
+                raise ProgrammingError(
+                    f"aggregate {name!r} used outside aggregation context")
+            index = scope.register(expr)
+            aggs_slot = len(scope.slots)
+            return lambda rows, params: rows[aggs_slot][index]
         if name not in _SCALAR_FUNCS:
             raise ProgrammingError(f"unknown function {name!r}")
         arg_fns = tuple(compile_expr(arg, scope) for arg in expr.args)
@@ -296,9 +290,9 @@ class IndexProbe:
 class PkRangeProbe:
     """Integer single-column-PK range unrolled into point lookups.
 
-    ``bound_fns`` mirror the interpreter's ``_pk_bound``: each returns
-    ``("lo", v)``, ``("hi", v)``, ``("between", (lo, hi))``, or ``None``
-    when its operand is non-integer or not evaluable yet.
+    Each of ``bound_fns`` returns ``("lo", v)``, ``("hi", v)``,
+    ``("between", (lo, hi))``, or ``None`` when its operand is
+    non-integer or not evaluable yet.
     """
 
     bound_fns: tuple[Callable[..., Optional[tuple[str, object]]], ...]
@@ -332,8 +326,7 @@ def _compile_const(expr: ast.Expr, prefix_scope: Scope) -> Optional[ExprFn]:
     """Compile an expression evaluable before this source's row binds.
 
     Returns None when the expression references bindings not yet in
-    scope — the interpreter's runtime ``ProgrammingError`` → give-up
-    path, decided here once at compile time.
+    scope, so the source cannot probe with it.
     """
     try:
         return compile_expr(expr, prefix_scope)
@@ -343,7 +336,7 @@ def _compile_const(expr: ast.Expr, prefix_scope: Scope) -> Optional[ExprFn]:
 
 def _compile_int_const(expr: ast.Expr,
                        prefix_scope: Scope) -> Optional[Callable]:
-    """``_pk_bound.const_value``: evaluate, reject non-int, swallow errors."""
+    """Integer-valued probe bound: evaluate, reject non-int, swallow errors."""
     fn = _compile_const(expr, prefix_scope)
     if fn is None:
         return None
@@ -434,7 +427,7 @@ def _compile_pk_bound(predicate: ast.Expr, binding: str, schema: TableSchema,
     Returns ``(kind, bound_fn)`` where ``kind`` records the static
     capability ("lo", "hi", "between") used to decide whether a range
     probe is worth emitting at all, and ``bound_fn(rows, params)``
-    performs the interpreter's runtime evaluation and checks.
+    evaluates the bound at run time.
     """
     def is_pk_ref(expr: ast.Expr) -> bool:
         return (isinstance(expr, ast.ColumnRef)
@@ -530,32 +523,24 @@ class CompiledSource:
     #: Always re-checks every predicate — index candidates are
     #: conservative supersets.
     filter: Optional[ExprFn]
+    #: LEFT JOIN only: WHERE conjuncts on this source, checked after a
+    #: row is matched or NULL-extended; None accepts all.
+    post_filter: Optional[ExprFn] = None
 
 
 @dataclass(frozen=True)
 class OrderKey:
-    """One ORDER BY key: output position, row closure, or aggregate fn."""
+    """One ORDER BY key: an output position or a compiled closure."""
 
     descending: bool
     position: Optional[int] = None
     fn: Optional[ExprFn] = None
-    agg_fn: Optional[AggFn] = None
-    error: Optional[str] = None
 
     def value(self, rows: Sequence[Optional[tuple]], row: tuple,
               params: Sequence[object]) -> object:
-        if self.error is not None:
-            raise ProgrammingError(self.error)
         if self.position is not None:
             return row[self.position]
         return self.fn(rows, params)
-
-    def agg_value(self, aggs: "LazyAggs",
-                  rows0: Optional[Sequence[Optional[tuple]]], row: tuple,
-                  params: Sequence[object]) -> object:
-        if self.position is not None:
-            return row[self.position]
-        return self.agg_fn(aggs, rows0, params)
 
 
 @dataclass(frozen=True)
@@ -591,9 +576,9 @@ class CompiledAggregate:
 class LazyAggs:
     """Per-group aggregate values, computed on demand and memoised.
 
-    HAVING runs before the select items, so aggregates it rejects are
-    never computed — same laziness as the interpreter, minus its
-    recomputation per reference.
+    HAVING runs before the select items, so aggregates of groups it
+    rejects are never computed, and an aggregate referenced twice is
+    computed once.
     """
 
     __slots__ = ("_aggs", "_contexts", "_params", "_cache")
@@ -617,13 +602,17 @@ class LazyAggs:
 
 @dataclass(frozen=True)
 class CompiledAggregation:
-    """Grouping/aggregation section of a compiled SELECT."""
+    """Grouping/aggregation section of a compiled SELECT.
+
+    The select's projection, HAVING and ORDER BY closures of a grouped
+    query run once per group over ``(*first_row, aggs)``: the group's
+    first joined row (all NULL for an empty group), then its
+    :class:`LazyAggs`.
+    """
 
     group_fn: Optional[ExprFn]  # fused (rows, params) -> group-key tuple
+    having_fn: Optional[ExprFn]
     aggs: tuple[CompiledAggregate, ...]
-    item_fns: tuple[AggFn, ...]
-    having_fn: Optional[AggFn]
-    order_keys: tuple[OrderKey, ...]
 
 
 @dataclass(frozen=True)
@@ -632,7 +621,7 @@ class CompiledSelect:
     sources: tuple[CompiledSource, ...]
     for_update: bool
     columns: list[str]
-    project_fn: Optional[ExprFn]  # fused (rows, params) -> output tuple
+    project_fn: ExprFn  # fused (rows, params) -> output tuple
     aggregation: Optional[CompiledAggregation]
     order_keys: tuple[OrderKey, ...]
     distinct: bool
@@ -690,12 +679,10 @@ CompiledPlan = (CompiledSelect, CompiledInsert, CompiledUpdate, CompiledDelete)
 
 
 def compile_statement(stmt: ast.Statement, catalog: Catalog):
-    """Compile a DML/query statement, or raise :class:`Unsupported`.
+    """Compile a DML/query statement into its plan.
 
     Semantic errors (unknown tables/columns, bad aggregates, arity
-    mismatches) raise :class:`ProgrammingError` — the same type and
-    message the interpreter produces at execute time, surfaced at
-    prepare time instead.
+    mismatches) raise :class:`ProgrammingError` at prepare time.
     """
     if isinstance(stmt, ast.Select):
         return _compile_select(stmt, catalog)
@@ -705,7 +692,7 @@ def compile_statement(stmt: ast.Statement, catalog: Catalog):
         return _compile_update(stmt, catalog)
     if isinstance(stmt, ast.Delete):
         return _compile_delete(stmt, catalog)
-    raise Unsupported(f"cannot compile {type(stmt).__name__}")
+    raise ProgrammingError(f"cannot compile {type(stmt).__name__}")
 
 
 def _item_name(item: ast.SelectItem, index: int) -> str:
@@ -750,8 +737,17 @@ def _split_conjuncts(expr: ast.Expr) -> list[ast.Expr]:
 
 def _build_sources(stmt: ast.Select, catalog: Catalog
                    ) -> tuple[list[tuple[str, TableSchema, str, str]],
-                              list[list[ast.Expr]]]:
-    """Source list plus per-source predicate placement, as interpreted."""
+                              list[list[ast.Expr]], list[list[ast.Expr]]]:
+    """Source list plus per-source predicate placement.
+
+    Returns ``(pairs, placed, post)``.  A conjunct goes to the first
+    slot at which all its bindings are bound.  ``placed[i]`` are the
+    scan predicates of source ``i``; ``post[i]`` are conjuncts checked
+    after source ``i``, a LEFT JOIN, has matched or NULL-extended the
+    row, so a WHERE on the nullable side filters the joined result
+    instead of the join's matches.  A LEFT JOIN's own ON conjuncts are
+    always its scan predicates: they decide matches, never drop rows.
+    """
     refs = [(stmt.table, "inner")]
     refs.extend((join.table, join.kind) for join in stmt.joins)
     pairs: list[tuple[str, TableSchema, str, str]] = []
@@ -764,23 +760,31 @@ def _build_sources(stmt: ast.Select, catalog: Catalog
         seen.add(binding)
         pairs.append((binding, schema, table_ref.name, kind))
 
-    conjuncts: list[ast.Expr] = []
+    # (conjunct, slot of the LEFT JOIN whose ON clause it belongs to)
+    conjuncts: list[tuple[ast.Expr, int]] = []
     if stmt.where is not None:
-        conjuncts.extend(_split_conjuncts(stmt.where))
-    for join in stmt.joins:
+        conjuncts.extend((c, 0) for c in _split_conjuncts(stmt.where))
+    for slot, join in enumerate(stmt.joins, start=1):
         if join.condition is not None:
-            conjuncts.extend(_split_conjuncts(join.condition))
+            on_slot = slot if join.kind == "left" else 0
+            conjuncts.extend((c, on_slot)
+                             for c in _split_conjuncts(join.condition))
 
     slot_of = {binding: i for i, (binding, _s, _t, _k) in enumerate(pairs)}
     placed: list[list[ast.Expr]] = [[] for _ in pairs]
-    for conjunct in conjuncts:
+    post: list[list[ast.Expr]] = [[] for _ in pairs]
+    for conjunct, on_slot in conjuncts:
         needed = _bindings_of(conjunct, pairs)
         slots = [slot_of[name] for name in needed if name in slot_of]
         if len(slots) != len(needed):
             raise ProgrammingError(
                 f"predicate references unknown bindings: {needed}")
-        placed[max(slots, default=0)].append(conjunct)
-    return pairs, placed
+        slot = max([on_slot, *slots])
+        if pairs[slot][3] == "left" and slot != on_slot:
+            post[slot].append(conjunct)
+        else:
+            placed[slot].append(conjunct)
+    return pairs, placed, post
 
 
 def _bindings_of(expr: ast.Expr,
@@ -805,14 +809,16 @@ def _bindings_of(expr: ast.Expr,
 def _compile_source(slot: int, binding: str, schema: TableSchema,
                     table_name: str, join_kind: str,
                     predicates: Sequence[ast.Expr], prefix_scope: Scope,
-                    full_scope: Scope) -> CompiledSource:
+                    full_scope: Scope,
+                    post: Sequence[ast.Expr] = ()) -> CompiledSource:
     index_probe = _compile_index_probe(predicates, binding, schema,
                                        prefix_scope)
     pk_range = _compile_pk_range(predicates, binding, schema, prefix_scope)
     return CompiledSource(
         slot=slot, binding=binding, table=table_name, schema=schema,
         join_kind=join_kind, index_probe=index_probe, pk_range=pk_range,
-        filter=_compile_conjunction(predicates, full_scope))
+        filter=_compile_conjunction(predicates, full_scope),
+        post_filter=_compile_conjunction(post, full_scope))
 
 
 def _compile_order_key(order: ast.OrderItem, scope: Scope,
@@ -822,8 +828,7 @@ def _compile_order_key(order: ast.OrderItem, scope: Scope,
         position = expr.value - 1
         if 0 <= position < len(columns):
             return OrderKey(order.descending, position=position)
-        return OrderKey(order.descending, error=(
-            f"ORDER BY position {expr.value} out of range"))
+        raise ProgrammingError(f"ORDER BY position {expr.value} out of range")
     if (isinstance(expr, ast.ColumnRef) and expr.table is None
             and expr.column in columns):
         return OrderKey(order.descending, position=columns.index(expr.column))
@@ -833,9 +838,9 @@ def _compile_order_key(order: ast.OrderItem, scope: Scope,
 def _compile_select(stmt: ast.Select, catalog: Catalog) -> CompiledSelect:
     empty_scope = Scope([])
     if stmt.table is None:
-        # Scalar SELECT: the interpreter projects one row and ignores
-        # WHERE/ORDER BY/LIMIT entirely; mirror that (including never
-        # compiling, hence never erroring on, the ignored clauses).
+        # Scalar SELECT projects one row and ignores WHERE/ORDER BY/
+        # LIMIT entirely (never compiling, hence never erroring on,
+        # the ignored clauses).
         project_fn = tuple_fn([compile_expr(item.expr, empty_scope)
                                for item in stmt.items])
         columns = [_item_name(item, i) for i, item in enumerate(stmt.items)]
@@ -849,12 +854,13 @@ def _compile_select(stmt: ast.Select, catalog: Catalog) -> CompiledSelect:
     offset_fn = (compile_expr(stmt.offset, empty_scope)
                  if stmt.offset is not None else None)
 
-    pairs, placed = _build_sources(stmt, catalog)
+    pairs, placed, post = _build_sources(stmt, catalog)
     scope_slots = [(binding, schema) for binding, schema, _t, _k in pairs]
     full_scope = Scope(scope_slots)
     sources = tuple(
         _compile_source(slot, binding, schema, table_name, kind,
-                        placed[slot], Scope(scope_slots[:slot]), full_scope)
+                        placed[slot], Scope(scope_slots[:slot]), full_scope,
+                        post[slot])
         for slot, (binding, schema, table_name, kind) in enumerate(pairs))
 
     items = _expand_items(stmt, [(b, s) for b, s, _t, _k in pairs])
@@ -862,16 +868,22 @@ def _compile_select(stmt: ast.Select, catalog: Catalog) -> CompiledSelect:
     is_grouped = bool(stmt.group_by) or any(
         _contains_aggregate(item.expr) for item in stmt.items if not item.star)
 
+    aggs: list[CompiledAggregate] = []
+    item_scope = _aggregate_scope(full_scope, aggs) if is_grouped \
+        else full_scope
+    project_fn = tuple_fn([compile_expr(expr, item_scope)
+                           for expr, _ in items])
+    order_keys = tuple(_compile_order_key(order, item_scope, columns)
+                       for order in stmt.order_by)
+    aggregation = None
     if is_grouped:
-        aggregation = _compile_aggregation(stmt, items, columns, full_scope)
-        project_fn = None
-        order_keys: tuple[OrderKey, ...] = ()
-    else:
-        aggregation = None
-        project_fn = tuple_fn([compile_expr(expr, full_scope)
-                               for expr, _ in items])
-        order_keys = tuple(_compile_order_key(order, full_scope, columns)
-                           for order in stmt.order_by)
+        aggregation = CompiledAggregation(
+            group_fn=(tuple_fn([compile_expr(expr, full_scope)
+                                for expr in stmt.group_by])
+                      if stmt.group_by else None),
+            having_fn=(compile_expr(stmt.having, item_scope)
+                       if stmt.having is not None else None),
+            aggs=tuple(aggs))
     return CompiledSelect(
         scalar=False, sources=sources, for_update=stmt.for_update,
         columns=columns, project_fn=project_fn, aggregation=aggregation,
@@ -879,12 +891,13 @@ def _compile_select(stmt: ast.Select, catalog: Catalog) -> CompiledSelect:
         offset_fn=offset_fn)
 
 
-def _compile_aggregation(stmt: ast.Select,
-                         items: Sequence[tuple[ast.Expr, str]],
-                         columns: Sequence[str],
-                         scope: Scope) -> CompiledAggregation:
+def _aggregate_scope(scope: Scope, aggs: list[CompiledAggregate]) -> Scope:
+    """``scope`` plus aggregate calls, appended to ``aggs`` as compiled.
+
+    Each distinct call is registered once, so it is computed at most
+    once per group however often the query references it.
+    """
     registry: dict[ast.Expr, int] = {}
-    aggs: list[CompiledAggregate] = []
 
     def register(call: ast.FuncCall) -> int:
         index = registry.get(call)
@@ -905,72 +918,7 @@ def _compile_aggregation(stmt: ast.Select,
                                       arg_fn))
         return index
 
-    item_fns = tuple(_compile_aggregated(expr, scope, register)
-                     for expr, _ in items)
-    group_fn = (tuple_fn([compile_expr(expr, scope)
-                          for expr in stmt.group_by])
-                if stmt.group_by else None)
-    having_fn = (_compile_aggregated(stmt.having, scope, register)
-                 if stmt.having is not None else None)
-    order_keys = tuple(
-        _compile_agg_order_key(order, scope, columns, register)
-        for order in stmt.order_by)
-    return CompiledAggregation(
-        group_fn=group_fn, aggs=tuple(aggs), item_fns=item_fns,
-        having_fn=having_fn, order_keys=order_keys)
-
-
-def _compile_agg_order_key(order: ast.OrderItem, scope: Scope,
-                           columns: Sequence[str],
-                           register: Callable[[ast.FuncCall], int]
-                           ) -> OrderKey:
-    expr = order.expr
-    if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-        position = expr.value - 1
-        if 0 <= position < len(columns):
-            return OrderKey(order.descending, position=position)
-    if (isinstance(expr, ast.ColumnRef) and expr.table is None
-            and expr.column in columns):
-        return OrderKey(order.descending, position=columns.index(expr.column))
-    # Everything else sorts by the aggregate-context value, including
-    # out-of-range positions (the interpreter's caught-error path makes
-    # them constant keys in aggregate queries).
-    return OrderKey(order.descending,
-                    agg_fn=_compile_aggregated(expr, scope, register))
-
-
-def _compile_aggregated(expr: ast.Expr, scope: Scope,
-                        register: Callable[[ast.FuncCall], int]) -> AggFn:
-    """Compile an expression evaluated once per group."""
-    if isinstance(expr, ast.FuncCall) and expr.name in AGGREGATES:
-        index = register(expr)
-        return lambda aggs, rows0, params: aggs[index]
-    if isinstance(expr, ast.BinaryOp):
-        op = expr.op
-        left = _compile_aggregated(expr.left, scope, register)
-        right = _compile_aggregated(expr.right, scope, register)
-        return lambda aggs, rows0, params: apply_binary(
-            op, left(aggs, rows0, params), right(aggs, rows0, params))
-    if isinstance(expr, ast.UnaryOp):
-        op = expr.op
-        operand = _compile_aggregated(expr.operand, scope, register)
-        return lambda aggs, rows0, params: apply_unary(
-            op, operand(aggs, rows0, params))
-    if _contains_aggregate(expr):
-        raise ProgrammingError(
-            "aggregates may only appear at the top level or inside "
-            "arithmetic expressions")
-    fn = compile_expr(expr, scope)
-    # Bare expressions over an *empty* group: the interpreter evaluates
-    # against the empty context, where outcomes depend on evaluation
-    # order (a CASE may never touch its column refs).  Empty groups are
-    # cold — at most the single global group — so defer to the
-    # interpreter there for exact behaviour.
-    def leaf_fn(aggs, rows0, params):
-        if rows0 is None:
-            return evaluate(expr, None, params)
-        return fn(rows0, params)
-    return leaf_fn
+    return Scope(scope.slots, register)
 
 
 def _column_finalizer(position: int, column: ColumnDef) -> ColumnFinalizer:

@@ -1,11 +1,14 @@
 """YCSB: loader, request distributions, and CRUD procedures."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.benchmarks.ycsb import YcsbBenchmark
 from repro.engine import Database, connect
+from repro.errors import IntegrityError
 
 from .conftest import committed, run_mixture
 
@@ -35,6 +38,61 @@ def test_insert_extends_keyspace(ycsb):
     ycsb.make_procedure("InsertRecord").run(conn, random.Random(2))
     assert ycsb.database.row_count("usertable") == before + 1
     conn.close()
+
+
+def test_concurrent_inserts_never_collide():
+    db = Database()
+    bench = YcsbBenchmark(db, scale_factor=0.1, seed=3)
+    bench.load()
+    before = db.row_count("usertable")
+    threads, per_thread = 4, 50
+    errors: list[Exception] = []
+    start = threading.Barrier(threads)
+
+    def insert(seed):
+        conn = connect(db)
+        proc = bench.make_procedure("InsertRecord")
+        rng = random.Random(seed)
+        start.wait(timeout=10)
+        for _ in range(per_thread):
+            try:
+                proc.run(conn, rng)
+            except IntegrityError as exc:
+                conn.rollback()
+                errors.append(exc)
+        conn.close()
+
+    workers = [threading.Thread(target=insert, args=(i,))
+               for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    # Every claimed key is fresh: the new keys are exactly the next ones.
+    conn = connect(db)
+    cur = conn.cursor()
+    cur.execute("SELECT ycsb_key FROM usertable WHERE ycsb_key >= ?",
+                (before,))
+    keys = sorted(row[0] for row in cur.fetchall())
+    conn.commit()
+    conn.close()
+    assert keys == list(range(before, before + threads * per_thread))
+
+
+def test_insert_counter_resumes_past_the_largest_key(ycsb):
+    conn = connect(ycsb.database)
+    ycsb.make_procedure("InsertRecord").run(conn, random.Random(6))
+    conn.close()
+    ycsb.derive_params()
+    largest = ycsb.scalar("SELECT MAX(ycsb_key) FROM usertable")
+    assert next(ycsb.params["insert_key_counter"]) == largest + 1
 
 
 def test_update_changes_field(ycsb):

@@ -13,11 +13,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.analysis.lockwatch import LockWatch
 from repro.core.benchmark import BenchmarkModule
 from repro.core.procedure import Procedure
 from repro.engine import Database, connect
+
+
+#: A longer search for the sqlite differential tests, selected with
+#: hypothesis's own ``--hypothesis-profile=sqlite-oracle-extended``;
+#: tier-1 runs the default profile.
+settings.register_profile("sqlite-oracle-extended", max_examples=1500)
 
 
 def pytest_addoption(parser):

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.engine.expr import evaluate, is_true, like_match
+from repro.engine.expr import is_true, like_match
+from repro.engine.plan import Scope, compile_expr
 from repro.engine.sqlparser import parse
 from repro.errors import DataError, ProgrammingError
 
 
 def eval_expr(sql_expr, params=()):
-    """Evaluate an expression through a contextless SELECT."""
+    """Compile an expression over an empty scope and run it once."""
     stmt = parse(f"SELECT {sql_expr}")
-    return evaluate(stmt.items[0].expr, None, params)
+    return compile_expr(stmt.items[0].expr, Scope([]))((), params)
 
 
 # -- arithmetic ---------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Plan compiler and cache units: keying, invalidation, access paths.
 
-The equivalence of compiled execution against the interpreter is
-covered separately in ``test_plan_equivalence.py``; this file pins the
-planner's own contracts — prepare-time error reporting, cache counter
-accounting, DDL invalidation, and access-path selection.
+The answers compiled plans produce are checked against sqlite3 in
+``test_plan_equivalence.py`` and ``test_sqlite_oracle.py``; this file
+pins the planner's own contracts — prepare-time error reporting, cache
+counter accounting, DDL invalidation, and access-path selection.
 """
 
 import pytest
@@ -65,7 +65,7 @@ def test_prepare_time_errors_are_not_cached(loaded):
     assert db.plan_cache.snapshot()["size"] == before
 
 
-def test_execution_still_reports_error_rows_like_interpreter(loaded):
+def test_execution_reports_prepare_time_errors(loaded):
     db, conn = loaded
     # The same statement through the cursor: error surfaces to the
     # caller before any transaction work happens.
@@ -131,19 +131,6 @@ def test_plan_cache_eviction_is_counted():
     assert stats["capacity"] == 2
     assert stats["size"] == 2
     assert stats["evictions"] == 2
-    conn.close()
-
-
-def test_disabled_compilation_runs_interpreted():
-    plain = Database(use_compiled_plans=False)
-    conn = connect(plain)
-    execute(conn, "CREATE TABLE t (a INT PRIMARY KEY)")
-    execute(conn, "INSERT INTO t VALUES (1)")
-    assert execute(conn, "SELECT a FROM t").fetchall() == [(1,)]
-    conn.commit()
-    counters = plain.counters.snapshot()
-    assert counters["plan_executions"] == 0
-    assert counters["interpreted_executions"] == 2
     conn.close()
 
 

@@ -1,18 +1,23 @@
-"""Compiled-vs-interpreted equivalence: the plan layer's oracle.
+"""Fixed-case engine answers checked against sqlite3.
 
-Every statement here runs through two identically-populated databases —
-one with ``use_compiled_plans=True``, one with ``False`` — and must
-produce the same rows (order-sensitive), the same rowcounts, the same
-column names, and the same error type and message.  Cases concentrate
-on the seams where a compiler drifts from an interpreter: NULL/Kleene
-logic, type coercion in comparisons, join/aggregation structure, and
-runtime access-path fallback.
+Every statement here runs on the engine and on an in-memory sqlite3
+database holding the same rows (see ``sqlite_oracle.py``), and must
+produce the same rows, rowcounts and column names.  Cases concentrate
+on the seams where an engine drifts from SQL: NULL/Kleene logic, type
+coercion in comparisons, join/aggregation structure, empty groups, and
+runtime access-path fallback.  Behaviours sqlite cannot express — the
+engine's error types and messages, ``DataError`` on division by zero —
+are golden fixtures with literal expected values.
 """
+
+import sqlite3
 
 import pytest
 
 from repro.engine import Database, connect
-from repro.errors import DatabaseError
+from repro.errors import DataError, IntegrityError, ProgrammingError
+
+from .sqlite_oracle import Twin
 
 SCHEMA = [
     "CREATE TABLE items (id INT PRIMARY KEY, grp INT, price FLOAT, "
@@ -20,6 +25,8 @@ SCHEMA = [
     "CREATE INDEX idx_items_grp ON items (grp)",
     "CREATE TABLE tags (item_id INT, tag VARCHAR(8), "
     "PRIMARY KEY (item_id, tag))",
+    "CREATE TABLE t (a INT PRIMARY KEY, b INT)",
+    "CREATE TABLE e (a INT PRIMARY KEY, b INT)",
 ]
 
 ROWS = [
@@ -32,50 +39,14 @@ ROWS = [
 
 TAGS = [(1, "red"), (1, "big"), (2, "red"), (4, "old")]
 
-
-def make_pair():
-    pair = []
-    for compiled in (True, False):
-        db = Database(use_compiled_plans=compiled)
-        conn = connect(db)
-        cur = conn.cursor()
-        for ddl in SCHEMA:
-            cur.execute(ddl)
-        cur.executemany("INSERT INTO items VALUES (?, ?, ?, ?, ?)", ROWS)
-        cur.executemany("INSERT INTO tags VALUES (?, ?)", TAGS)
-        conn.commit()
-        pair.append((db, conn))
-    return pair
+T_ROWS = [(1, 10), (2, None), (3, 30)]
 
 
 @pytest.fixture
-def pair():
-    made = make_pair()
+def twin():
+    made = Twin(SCHEMA, {"items": ROWS, "tags": TAGS, "t": T_ROWS, "e": []})
     yield made
-    for _db, conn in made:
-        conn.close()
-
-
-def both(pair, sql, params=()):
-    """Run on both paths; assert identical outcome; return the rows."""
-    outcomes = []
-    for db, conn in pair:
-        cur = conn.cursor()
-        try:
-            cur.execute(sql, params)
-            outcomes.append(("ok", cur.fetchall(), cur.rowcount,
-                             cur.description and
-                             [d[0] for d in cur.description]))
-        except DatabaseError as exc:
-            conn.rollback()
-            outcomes.append(("error", type(exc).__name__, str(exc)))
-    compiled, interpreted = outcomes
-    assert compiled == interpreted, (
-        f"paths diverge for {sql!r} {params!r}:\n"
-        f"  compiled:    {compiled}\n  interpreted: {interpreted}")
-    # Sanity: the compiled database really used a compiled plan for DML
-    # and SELECT statements (not a silent fallback).
-    return compiled
+    made.close()
 
 
 SELECT_CASES = [
@@ -135,33 +106,80 @@ SELECT_CASES = [
     ("SELECT 1 + 1, 'x' || 'y'", ()),
     # Mixed-type comparison: string column against numeric string.
     ("SELECT id FROM items WHERE name > '1' ORDER BY id", ()),
+    # Empty groups: bare columns read as NULL next to the aggregates.
+    ("SELECT b, count(*) FROM e", ()),
+    ("SELECT b + 1, sum(a) FROM t WHERE a > 3", ()),
+    # Aggregates nested in any expression, not just arithmetic.
+    ("SELECT coalesce(sum(price), 0) FROM items WHERE id > 100", ()),
+    ("SELECT grp FROM items GROUP BY grp HAVING max(price) IS NOT NULL "
+     "ORDER BY grp", ()),
+    ("SELECT CASE WHEN count(*) > 1 THEN 'many' ELSE 'few' END "
+     "FROM items GROUP BY grp ORDER BY 1", ()),
+    # LEFT JOIN with a WHERE conjunct on the NULL-extended side.
+    ("SELECT t.tag, i.id FROM items i LEFT JOIN tags t "
+     "ON t.item_id = i.id WHERE t.tag = 'red' ORDER BY i.id", ()),
+    ("SELECT i.id FROM items i LEFT JOIN tags t "
+     "ON t.item_id = i.id WHERE t.tag IS NULL ORDER BY i.id", ()),
 ]
 
 
 @pytest.mark.parametrize("sql,params", SELECT_CASES,
                          ids=[c[0][:60] for c in SELECT_CASES])
-def test_select_equivalence(pair, sql, params):
-    both(pair, sql, params)
+def test_select_equivalence(twin, sql, params):
+    twin.check(sql, params)
 
 
+#: (sql, params, engine error type, engine error message).  sqlite also
+#: rejects each statement, with its own wording.
 ERROR_CASES = [
-    ("SELECT nope FROM items", ()),
-    ("SELECT i.nope FROM items i", ()),
-    ("SELECT x.id FROM items i", ()),
-    ("SELECT id FROM items WHERE id = ?", ()),   # missing parameter
-    ("SELECT unknown_fn(id) FROM items", ()),
-    ("SELECT max(*) FROM items", ()),
+    ("SELECT nope FROM items", (), ProgrammingError,
+     "unknown column 'nope'"),
+    ("SELECT i.nope FROM items i", (), ProgrammingError,
+     "no column 'nope' in table 'items'"),
+    ("SELECT x.id FROM items i", (), ProgrammingError,
+     "unknown table binding 'x'"),
+    ("SELECT id FROM items WHERE id = ?", (), ProgrammingError,
+     "statement expects at least 1 parameters, got 0"),
+    ("SELECT unknown_fn(id) FROM items", (), ProgrammingError,
+     "unknown function 'unknown_fn'"),
+    ("SELECT max(*) FROM items", (), ProgrammingError,
+     "max(*) is not valid"),
 ]
 
 
-@pytest.mark.parametrize("sql,params", ERROR_CASES,
+@pytest.mark.parametrize("sql,params,kind,message", ERROR_CASES,
                          ids=[c[0][:60] for c in ERROR_CASES])
-def test_error_equivalence(pair, sql, params):
-    outcome = both(pair, sql, params)
-    assert outcome[0] == "error"
+def test_error_equivalence(twin, sql, params, kind, message):
+    outcome = twin.engine(sql, params)
+    assert type(outcome.error) is kind
+    assert str(outcome.error) == message
+    assert isinstance(twin.sqlite(sql, params).error, sqlite3.Error)
 
 
-def test_dml_equivalence(pair):
+#: Statements sqlite answers differently by design (it returns NULL on
+#: division by zero and has no typed arithmetic errors), with the
+#: engine's literal expected error.
+ENGINE_ONLY_CASES = [
+    ("SELECT 1 / 0", DataError, "division by zero"),
+    ("SELECT 1 % 0", DataError, "modulo by zero"),
+    ("SELECT id / 0 FROM items", DataError, "division by zero"),
+    ("SELECT -name FROM items", DataError, "cannot negate 'ant'"),
+    ("SELECT id FROM items ORDER BY 3", ProgrammingError,
+     "ORDER BY position 3 out of range"),
+    ("SELECT id FROM items LIMIT -1", ProgrammingError,
+     "LIMIT must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("sql,kind,message", ENGINE_ONLY_CASES,
+                         ids=[c[0] for c in ENGINE_ONLY_CASES])
+def test_engine_only_errors(twin, sql, kind, message):
+    outcome = twin.engine(sql)
+    assert type(outcome.error) is kind
+    assert str(outcome.error) == message
+
+
+def test_dml_equivalence(twin):
     for sql, params in [
         ("INSERT INTO items VALUES (?, ?, ?, ?, ?)",
          (6, 3, 4.5, "fox", None)),
@@ -170,42 +188,36 @@ def test_dml_equivalence(pair):
         ("DELETE FROM items WHERE grp IS NULL", ()),
         ("UPDATE items SET grp = grp WHERE price > ?", (3.0,)),
     ]:
-        both(pair, sql, params)
-        both(pair, "SELECT * FROM items ORDER BY id")
+        twin.check(sql, params)
+        twin.check("SELECT * FROM items ORDER BY id")
 
 
-def test_constraint_error_equivalence(pair):
-    # Duplicate PK and NOT NULL violations carry identical messages.
-    both(pair, "INSERT INTO items VALUES (1, 9, 0.0, 'dup', NULL)")
-    both(pair, "INSERT INTO items VALUES (7, 1, 1.0, NULL, NULL)")
-    both(pair, "SELECT count(*) FROM items")
+def test_constraint_error_equivalence(twin):
+    # A duplicate primary key is rejected on both sides; the engine's
+    # message is fixed.
+    sql = "INSERT INTO items VALUES (1, 9, 0.0, 'dup', NULL)"
+    outcome = twin.engine(sql)
+    assert type(outcome.error) is IntegrityError
+    assert str(outcome.error) == "duplicate primary key (1,) in 'items'"
+    assert isinstance(twin.sqlite(sql).error, sqlite3.IntegrityError)
+    # A NULL in a nullable column is accepted on both sides.
+    twin.check("INSERT INTO items VALUES (7, 1, 1.0, NULL, NULL)")
+    twin.check("SELECT count(*) FROM items")
 
 
 def test_procedure_statement_equivalence_on_mini_benchmark():
     """Drive the shared-fixture mini benchmark's statements both ways."""
-    results = []
-    for compiled in (True, False):
-        db = Database(use_compiled_plans=compiled)
-        conn = connect(db)
-        cur = conn.cursor()
-        cur.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT NOT NULL)")
-        cur.executemany("INSERT INTO kv VALUES (?, ?)",
-                        [(i, 0) for i in range(16)])
-        conn.commit()
-        out = []
-        for k in range(16):
-            cur.execute("UPDATE kv SET v = v + 1 WHERE k = ?", (k % 7,))
-            out.append(cur.rowcount)
-        cur.execute("SELECT k, v FROM kv ORDER BY k")
-        out.append(cur.fetchall())
-        conn.commit()
-        results.append(out)
-        conn.close()
-    assert results[0] == results[1]
+    twin = Twin(["CREATE TABLE kv (k INT PRIMARY KEY, v INT NOT NULL)"],
+                {"kv": [(i, 0) for i in range(16)]})
+    for k in range(16):
+        outcome = twin.check("UPDATE kv SET v = v + 1 WHERE k = ?", (k % 7,))
+        assert outcome.rowcount == 1
+    twin.check("SELECT k, v FROM kv ORDER BY k")
+    twin.close()
 
 
 def test_compiled_path_actually_ran():
-    """Guard against the oracle silently comparing interpreter to itself."""
+    """Guard that statements really ran through compiled plans."""
     db = Database()
     conn = connect(db)
     cur = conn.cursor()
@@ -215,5 +227,4 @@ def test_compiled_path_actually_ran():
     conn.commit()
     counters = db.counters.snapshot()
     assert counters["plan_executions"] == 2
-    assert counters["interpreted_executions"] == 0
     conn.close()

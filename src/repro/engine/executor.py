@@ -4,9 +4,11 @@ Every SELECT/INSERT/UPDATE/DELETE reaches the executor as a compiled
 plan; there is one execution path per statement kind:
 
 * each FROM-clause source gathers candidate rowids through the access
-  path the planner chose (equality-index probe, integer-PK range
-  unroll, or full scan) and filters them with the compiled predicate
-  closure;
+  path the planner chose (equality-index probe, ordered index walk, or
+  full scan) and filters them with the compiled predicate closure;
+* a walk that delivers a single-source SELECT's ORDER BY … LIMIT k
+  OFFSET m reads rows in key order and stops after k + m qualifying
+  rows, so it locks only those (and rows that failed to qualify);
 * joins are nested loops over source slots, so an inner source's index
   probe can key on the outer rows already bound;
 * strict-2PL transactions acquire shared locks on qualifying rows
@@ -16,8 +18,8 @@ plan; there is one execution path per statement kind:
   to the materialised row set.
 
 Like most lightweight engines, predicate locks are not implemented, so
-phantom protection is limited to primary-key locking on inserts; this is
-documented in DESIGN.md and does not affect any of the 15 workloads.
+phantom protection is limited to primary-key locking on inserts; DESIGN.md
+§9 ("Phantoms") says which locks each access path takes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from ..errors import IntegrityError, ProgrammingError
 from .expr import is_true
 from .locks import EXCLUSIVE, SHARED
 from .plan import (CompiledAggregation, CompiledDelete, CompiledInsert,
-                   CompiledSelect, CompiledSource, CompiledUpdate, LazyAggs)
+                   CompiledSelect, CompiledSource, CompiledUpdate, IndexWalk,
+                   LazyAggs)
+from .storage import TOP
 from .txn import SERIALIZABLE, Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,9 +51,6 @@ class Result:
 
 class Executor:
     """Runs compiled plans against a database on behalf of a txn."""
-
-    #: Widest integer PK range unrolled into point lookups.
-    MAX_RANGE_UNROLL = 2048
 
     def __init__(self, db: "Database") -> None:
         self.db = db
@@ -71,8 +72,11 @@ class Executor:
     def _select_plan(self, txn: Transaction, plan: CompiledSelect,
                      params: Sequence[object]) -> Result:
         if plan.scalar:
-            row = plan.project_fn((), params)
-            return Result([row], list(plan.columns), rowcount=1)
+            out = []
+            if plan.where_fn is None or plan.where_fn((), params):
+                out = _apply_plan_limit([plan.project_fn((), params)], plan,
+                                        params)
+            return Result(out, list(plan.columns), rowcount=len(out))
         lock_mode = EXCLUSIVE if plan.for_update else SHARED
         take_locks = (txn.isolation == SERIALIZABLE
                       or lock_mode == EXCLUSIVE)
@@ -82,6 +86,10 @@ class Executor:
         contexts: list[tuple] = []
 
         plan_scan = self._plan_scan
+        stop_after = None
+        first_walk = sources[0].walk
+        if first_walk is not None and first_walk.pushdown:
+            stop_after = _limit_stop(plan, params)
 
         def recurse(level: int) -> None:
             if level == n_sources:
@@ -91,7 +99,8 @@ class Executor:
             slot = source.slot
             post = source.post_filter
             matched = plan_scan(txn, source, rows, params, lock_mode,
-                                take_locks, count_db_reads=True)
+                                take_locks, count_db_reads=True,
+                                stop_after=stop_after)
             for _rowid, values in matched:
                 rows[slot] = values
                 if post is None or post(rows, params):
@@ -123,17 +132,29 @@ class Executor:
 
     def _plan_scan(self, txn: Transaction, source: CompiledSource,
                    rows: list, params: Sequence[object], lock_mode: str,
-                   take_locks: bool, count_db_reads: bool
+                   take_locks: bool, count_db_reads: bool,
+                   stop_after: Optional[int] = None
                    ) -> list[tuple[int, tuple]]:
         """Scan one source: batched visibility read, closure filtering.
 
         Candidate gathering and all visibility checks happen under a
         single latch acquisition; each qualifying row is re-read after
         its lock is granted, so 2PL sees the authoritative version.
-        Locks are never acquired while holding the latch.
+        Locks are never acquired while holding the latch.  With
+        ``stop_after``, a pushed-down walk may return just the first
+        that many qualifying rows in key order.
         """
         table = source.table
         data = self.db.table_data(table)
+        counters = self.db.counters
+        if stop_after is not None and source.walk is not None:
+            walked = self._ordered_scan(txn, source, source.walk, rows,
+                                        params, lock_mode, take_locks,
+                                        stop_after, data)
+            if walked is not None:
+                if count_db_reads:
+                    counters.rows_read += len(walked)
+                return walked
         slot = source.slot
         row_filter = source.filter
         latch = self.db.latch
@@ -141,9 +162,10 @@ class Executor:
         with latch:
             candidates = self._plan_candidates(txn, source, rows, params,
                                                data)
-            inserted = txn.inserted.get(table)
-            if inserted:
-                candidates |= inserted
+            unindexed = txn.unindexed.get(table)
+            if unindexed:
+                candidates |= unindexed
+            txn.stats.rows_examined += len(candidates)
             visible = []
             append = visible.append
             for rowid in candidates:
@@ -152,7 +174,6 @@ class Executor:
                     append((rowid, version.values))
         acquire = self.db.lock_manager.acquire
         stats = txn.stats
-        counters = self.db.counters
         out: list[tuple[int, tuple]] = []
         emit = out.append
         for rowid, values in visible:
@@ -185,7 +206,7 @@ class Executor:
     def _plan_candidates(self, txn: Transaction, source: CompiledSource,
                          rows: list, params: Sequence[object],
                          data) -> set[int]:
-        """Access-path cascade: index probe, PK range unroll, full scan.
+        """Access-path cascade: index probe, ordered walk, full scan.
 
         The caller holds the storage latch; key closures are pure, so
         evaluating them under it is safe (and no locks are taken here).
@@ -201,17 +222,113 @@ class Executor:
             if key is not None:
                 txn.stats.index_lookups += 1
                 return data.index_lookup(probe.index_name, key)
-        if source.pk_range is not None:
-            keys = source.pk_range.resolve(rows, params,
-                                           self.MAX_RANGE_UNROLL)
-            if keys is not None:
+        walk = source.walk
+        if walk is not None:
+            bounds = walk.bounds(rows, params)
+            if bounds is not None:
                 txn.stats.index_lookups += 1
-                candidates: set[int] = set()
-                for k in keys:
-                    candidates |= data.index_lookup("__pk__", (k,))
-                return candidates
+                return data.walk_candidates(walk.index_name, *bounds)
         txn.stats.full_scans += 1
         return set(data.all_rowids())
+
+    def _ordered_scan(self, txn: Transaction, source: CompiledSource,
+                      walk: IndexWalk, rows: list, params: Sequence[object],
+                      lock_mode: str, take_locks: bool, stop_after: int,
+                      data) -> Optional[list[tuple[int, tuple]]]:
+        """The first ``stop_after`` qualifying rows, walked in key order.
+
+        Returns None when the walk cannot promise ORDER BY order: a bound
+        is unusable, the transaction has rows the index does not cover
+        yet, or a key with a NULL shares the equality prefix (such rows
+        sort last, between no two index keys).  The caller then gathers
+        every candidate and lets the sort decide.
+
+        Keys are read in batches, each under one latch hold; a row counts
+        under a key only if its visible version has that key, so stale
+        index entries are skipped and no row is seen twice.  Under 2PL a
+        row is locked only after it passed the filter, and re-read after
+        the grant: a row deleted meanwhile is skipped, and a row whose
+        key moved sends the walk back to the key it was found under.
+        """
+        bounds = walk.bounds(rows, params)
+        table = source.table
+        if bounds is None or txn.unindexed.get(table):
+            return None
+        prefix, low, high = bounds
+        name = walk.index_name
+        latch = self.db.latch
+        with latch:
+            ordered = data.ordered_index(name)
+            width = len(prefix)
+            if any(key[:width] == prefix for key in ordered.unordered):
+                return None
+        txn.stats.index_lookups += 1
+        slot = source.slot
+        row_filter = source.filter
+        key_of = walk.key_of
+        descending = walk.descending
+        effective = txn.effective_version
+        acquire = self.db.lock_manager.acquire
+        stats = txn.stats
+        out: list[tuple[int, tuple]] = []
+        emitted: set[int] = set()
+        batch_keys = stop_after
+        while len(out) < stop_after:
+            with latch:
+                keys = ordered.keys.between(low, high, descending,
+                                            batch_keys)
+                batch = []
+                for key in keys:
+                    bucket = data.index_bucket(name, key)
+                    stats.rows_examined += len(bucket)
+                    for rowid in bucket:
+                        version = effective(table, data, rowid)
+                        if (version is not None
+                                and version.values is not None
+                                and key_of(version.values) == key):
+                            batch.append((key, rowid, version.values))
+            resume = None
+            for key, rowid, values in batch:
+                if rowid in emitted:
+                    continue
+                if row_filter is not None:
+                    rows[slot] = values
+                    if not row_filter(rows, params):
+                        continue
+                if take_locks:
+                    acquire(txn, ("row", table, rowid), lock_mode)
+                    with latch:
+                        version = effective(table, data, rowid)
+                    if version is None or version.is_tombstone:
+                        continue
+                    if version.values is not values:
+                        values = version.values
+                        if key_of(values) != key:
+                            resume = key
+                            break
+                        if row_filter is not None:
+                            rows[slot] = values
+                            if not row_filter(rows, params):
+                                continue
+                stats.rows_read += 1
+                out.append((rowid, values))
+                emitted.add(rowid)
+                if len(out) == stop_after:
+                    break
+            if resume is not None:
+                # Walk again from the moved row's old key, inclusive.
+                if descending:
+                    high = resume + (TOP,)
+                else:
+                    low = resume
+            elif len(keys) < batch_keys:
+                break
+            elif descending:
+                high = keys[-1]
+            else:
+                low = keys[-1] + (TOP,)
+            batch_keys *= 2
+        return out
 
     def _insert_plan(self, txn: Transaction, plan: CompiledInsert,
                      params: Sequence[object]) -> Result:
@@ -290,7 +407,7 @@ class Executor:
                         raise IntegrityError(
                             f"duplicate primary key {new_key!r} "
                             f"in {plan.table!r}")
-            txn.buffer_update(plan.table, rowid, new_row)
+            txn.buffer_update(plan.table, rowid, new_row, plan.rekeys)
             self.db.counters.rows_updated += 1
             updated += 1
         return Result(rowcount=updated)
@@ -313,7 +430,7 @@ class Executor:
         schema = data.schema
         with self.db.latch:
             candidates = data.index_lookup("__pk__", key)
-            candidates |= txn.inserted.get(table, set())
+            candidates |= txn.unindexed.get(table, set())
             for rowid in candidates:
                 version = txn.effective_version(table, data, rowid)
                 if (version is not None and not version.is_tombstone
@@ -382,6 +499,22 @@ def _distinct(rows: list[tuple]) -> list[tuple]:
             seen.add(row)
             unique.append(row)
     return unique
+
+
+def _limit_stop(plan: CompiledSelect,
+                params: Sequence[object]) -> Optional[int]:
+    """LIMIT + OFFSET, or None when either is invalid (reported later)."""
+    if plan.limit_fn is None:
+        return None
+    try:
+        limit = int(plan.limit_fn((), params))
+        offset = (int(plan.offset_fn((), params))
+                  if plan.offset_fn is not None else 0)
+    except (TypeError, ValueError, ProgrammingError):
+        return None
+    if limit < 0 or offset < 0:
+        return None
+    return limit + offset
 
 
 def _apply_plan_limit(rows: list[tuple], plan: CompiledSelect,

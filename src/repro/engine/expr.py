@@ -8,6 +8,7 @@ through comparisons; AND/OR follow Kleene logic.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..errors import DataError, ProgrammingError
@@ -137,7 +138,9 @@ def apply_scalar_func(name: str, args: list) -> object:
         return _arith("%", args[0], args[1])
     if name == "round":
         if len(args) == 1:
-            return round(float(args[0]))
+            # Half away from zero, as a float (Python rounds half to even).
+            value = float(args[0])
+            return math.copysign(math.floor(abs(value) + 0.5), value)
         return round(float(args[0]), int(args[1]))
     if name == "floor":
         _require_args(name, args, 1)
@@ -201,13 +204,17 @@ def _as_bool(value: object) -> Optional[bool]:
     raise DataError(f"cannot use {value!r} as a boolean")
 
 
+_NUMBER_TYPES = (int, float)
+
+
 def _arith(op: str, left: object, right: object) -> object:
-    if isinstance(left, bool):
-        left = int(left)
-    if isinstance(right, bool):
-        right = int(right)
-    if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-        raise DataError(f"cannot apply {op!r} to {left!r} and {right!r}")
+    if type(left) not in _NUMBER_TYPES or type(right) not in _NUMBER_TYPES:
+        left = _numeric_operand(left)
+        right = _numeric_operand(right)
+        if not (isinstance(left, _NUMBER_TYPES)
+                and isinstance(right, _NUMBER_TYPES)):
+            raise DataError(
+                f"cannot apply {op!r} to {left!r} and {right!r}")
     if op == "+":
         return left + right
     if op == "-":
@@ -227,6 +234,26 @@ def _arith(op: str, left: object, right: object) -> object:
             raise DataError("modulo by zero")
         return left - right * int(left / right)
     raise ProgrammingError(f"unknown arithmetic operator {op!r}")
+
+
+def _numeric_operand(value: object) -> object:
+    """An arithmetic operand: bools as ints, numeric strings as numbers.
+
+    A string that spells a number (``'34'``, ``'2.5'``) converts, as in
+    sqlite; any other string stays and is rejected by the caller.
+    """
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str):
+        text = value.strip()
+        for kind in (int, float):
+            try:
+                number = kind(text)
+            except ValueError:
+                continue
+            if number == number and abs(number) != math.inf:
+                return number
+    return value
 
 
 def _stringify(value: object) -> str:

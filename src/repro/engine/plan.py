@@ -10,9 +10,11 @@ Every SELECT/INSERT/UPDATE/DELETE is compiled once per
   compiled into nested Python closures with SQL three-valued semantics
   (the operators live in ``expr.apply_binary`` / ``apply_unary`` /
   ``apply_scalar_func``);
-* each source's access path — equality-index probe, integer-PK range
-  unroll, or full scan — is chosen once, with a runtime fallback
-  cascade for when a probe key cannot be evaluated.
+* each source's access path — equality-index probe, ordered index walk
+  (equality prefix plus a range or an ORDER BY … LIMIT on the next
+  column), or full scan — is chosen once, with a runtime fallback to
+  the full scan for when a probe key or walk bound cannot be evaluated
+  or compared.
 
 A compiled closure takes ``(rows, params)`` where ``rows`` is an
 indexable sequence of per-slot row tuples (``None`` for a missed LEFT
@@ -36,14 +38,16 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
-from ..errors import ProgrammingError
+from ..errors import DataError, ProgrammingError
 from .catalog import Catalog, ColumnDef, IndexDef, TableSchema
 from .expr import (AGGREGATES, _SCALAR_FUNCS, _compare_bool, _kleene_and,
                    _stringify, apply_binary, apply_scalar_func, apply_unary,
                    like_match)
 from .sqlparser import ast
+from .storage import TOP
+from .types import TEXT
 
 #: A compiled expression: ``fn(rows, params) -> value``.
 ExprFn = Callable[[Sequence[Optional[tuple]], Sequence[object]], object]
@@ -286,40 +290,87 @@ class IndexProbe:
     key_fn: ExprFn  # (rows, params) -> key tuple
 
 
-@dataclass(frozen=True)
-class PkRangeProbe:
-    """Integer single-column-PK range unrolled into point lookups.
+#: A range bound on a walked column: ``(value closure, strict)``.
+Bound = tuple[ExprFn, bool]
 
-    Each of ``bound_fns`` returns ``("lo", v)``, ``("hi", v)``,
-    ``("between", (lo, hi))``, or ``None`` when its operand is
-    non-integer or not evaluable yet.
+
+def _is_number(value: object) -> bool:
+    return type(value) in (int, float, bool) and value == value
+
+
+def _is_text(value: object) -> bool:
+    return type(value) is str
+
+
+def _bound_check(column: ColumnDef) -> Callable[[object], bool]:
+    """Which bound values Python orders as SQL compares them to ``column``.
+
+    Coercion stores one Python type family per column (int/float/bool
+    for the numeric affinities, str for text), and ``compare_values``
+    agrees with Python's own order exactly when the bound is of the same
+    family and not NaN.
+    """
+    try:
+        affinity = column.sql_type.affinity
+    except DataError:  # an unknown type stores no rows to walk
+        return _is_number
+    return _is_text if affinity == TEXT else _is_number
+
+
+@dataclass(frozen=True)
+class IndexWalk:
+    """Ordered walk: equality prefix, then a range on the next column.
+
+    ``prefix_fns`` give the values of the index's leading columns;
+    ``lower`` and ``upper`` bound the column after them.  With
+    ``pushdown`` the walk's direction is the ORDER BY of a single-source
+    SELECT with a LIMIT, so the executor may stop after LIMIT + OFFSET
+    qualifying rows.
     """
 
-    bound_fns: tuple[Callable[..., Optional[tuple[str, object]]], ...]
+    index_name: str
+    prefix_fns: tuple[ExprFn, ...]
+    lower: tuple[Bound, ...]
+    upper: tuple[Bound, ...]
+    #: One value check per prefix column plus the walked column.
+    checks: tuple[Callable[[object], bool], ...]
+    #: Row values -> this index's key tuple.
+    key_of: Callable[[tuple], tuple]
+    descending: bool = False
+    pushdown: bool = False
 
-    def resolve(self, rows: Sequence[Optional[tuple]],
-                params: Sequence[object],
-                max_unroll: int) -> Optional[range]:
-        lo: Optional[int] = None
-        hi: Optional[int] = None  # exclusive
-        for bound_fn in self.bound_fns:
-            bound = bound_fn(rows, params)
-            if bound is None:
-                continue
-            kind, value = bound
-            if kind == "lo":
-                lo = value if lo is None else max(lo, value)
-            elif kind == "hi":
-                hi = value if hi is None else min(hi, value)
-            else:  # between: (lo, hi) inclusive pair
-                b_lo, b_hi = value
-                lo = b_lo if lo is None else max(lo, b_lo)
-                hi = b_hi + 1 if hi is None else min(hi, b_hi + 1)
-        if lo is None or hi is None:
+    def bounds(self, rows: Sequence[Optional[tuple]],
+               params: Sequence[object]
+               ) -> Optional[tuple[tuple, tuple, tuple]]:
+        """``(prefix, low, high)``: the walk is ``low <= key < high``.
+
+        None when a value cannot be evaluated yet or is not comparable
+        with its column in Python order (NULL, NaN, a string against a
+        number column, ...); the caller then scans instead.
+        """
+        try:
+            prefix = tuple(fn(rows, params) for fn in self.prefix_fns)
+            lower = [(fn(rows, params), strict) for fn, strict in self.lower]
+            upper = [(fn(rows, params), strict) for fn, strict in self.upper]
+        except ProgrammingError:
             return None
-        if hi - lo > max_unroll or hi <= lo:
-            return None if hi > lo else range(0)
-        return range(lo, hi)
+        checks = self.checks
+        if not all(check(value) for check, value in zip(checks, prefix)):
+            return None
+        check = checks[len(prefix)]
+        if not all(check(value) for value, _strict in lower + upper):
+            return None
+        low = prefix
+        if lower:
+            # The largest bound; of two equal ones, the strict one.
+            value, strict = max(lower)
+            low = prefix + ((value, TOP) if strict else (value,))
+        high = prefix + (TOP,)
+        if upper:
+            value, strict = min(upper, key=lambda bound: (bound[0],
+                                                          not bound[1]))
+            high = prefix + ((value,) if strict else (value, TOP))
+        return prefix, low, high
 
 
 def _compile_const(expr: ast.Expr, prefix_scope: Scope) -> Optional[ExprFn]:
@@ -334,23 +385,6 @@ def _compile_const(expr: ast.Expr, prefix_scope: Scope) -> Optional[ExprFn]:
         return None
 
 
-def _compile_int_const(expr: ast.Expr,
-                       prefix_scope: Scope) -> Optional[Callable]:
-    """Integer-valued probe bound: evaluate, reject non-int, swallow errors."""
-    fn = _compile_const(expr, prefix_scope)
-    if fn is None:
-        return None
-    def const_fn(rows, params):
-        try:
-            value = fn(rows, params)
-        except ProgrammingError:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            return None
-        return value
-    return const_fn
-
-
 def _references_binding(expr: ast.Expr, binding: str,
                         schema: TableSchema) -> bool:
     for node in ast.walk(expr):
@@ -362,18 +396,77 @@ def _references_binding(expr: ast.Expr, binding: str,
     return False
 
 
-def _equality_pair(predicate: ast.Expr, binding: str, schema: TableSchema
-                   ) -> Optional[tuple[str, ast.Expr]]:
-    if not (isinstance(predicate, ast.BinaryOp) and predicate.op == "="):
-        return None
-    for own, other in ((predicate.left, predicate.right),
-                       (predicate.right, predicate.left)):
-        if (isinstance(own, ast.ColumnRef)
-                and (own.table is None or own.table == binding)
-                and schema.has_column(own.column)
-                and not _references_binding(other, binding, schema)):
-            return own.column, other
+def _own_column(expr: ast.Expr, binding: str,
+                schema: TableSchema) -> Optional[str]:
+    if (isinstance(expr, ast.ColumnRef)
+            and (expr.table is None or expr.table == binding)
+            and schema.has_column(expr.column)):
+        return expr.column
     return None
+
+
+def _operand(expr: ast.Expr, binding: str, schema: TableSchema,
+             prefix_scope: Scope) -> Optional[ExprFn]:
+    """A probe value: compiled ``expr`` if it does not read this source."""
+    if _references_binding(expr, binding, schema):
+        return None
+    return _compile_const(expr, prefix_scope)
+
+
+def _equalities(predicates: Sequence[ast.Expr], binding: str,
+                schema: TableSchema, prefix_scope: Scope
+                ) -> dict[str, ExprFn]:
+    """``column -> value closure`` for each ``column = value`` conjunct."""
+    found: dict[str, ExprFn] = {}
+    for predicate in predicates:
+        if not (isinstance(predicate, ast.BinaryOp) and predicate.op == "="):
+            continue
+        for own, other in ((predicate.left, predicate.right),
+                           (predicate.right, predicate.left)):
+            column = _own_column(own, binding, schema)
+            if column is None or column in found:
+                continue
+            fn = _operand(other, binding, schema, prefix_scope)
+            if fn is not None:
+                found[column] = fn
+                break
+    return found
+
+
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _ranges(predicates: Sequence[ast.Expr], binding: str,
+            schema: TableSchema, prefix_scope: Scope
+            ) -> dict[str, tuple[list[Bound], list[Bound]]]:
+    """``column -> (lower bounds, upper bounds)`` from the conjuncts."""
+    found: dict[str, tuple[list[Bound], list[Bound]]] = {}
+
+    def add(column: str, op: str, fn: ExprFn) -> None:
+        lower, upper = found.setdefault(column, ([], []))
+        (lower if op[0] == ">" else upper).append((fn, len(op) == 1))
+
+    for predicate in predicates:
+        if isinstance(predicate, ast.Between) and not predicate.negated:
+            column = _own_column(predicate.value, binding, schema)
+            low = _operand(predicate.low, binding, schema, prefix_scope)
+            high = _operand(predicate.high, binding, schema, prefix_scope)
+            if column is not None and low is not None and high is not None:
+                add(column, ">=", low)
+                add(column, "<=", high)
+        elif (isinstance(predicate, ast.BinaryOp)
+              and predicate.op in _FLIPPED):
+            for own, other, op in (
+                    (predicate.left, predicate.right, predicate.op),
+                    (predicate.right, predicate.left,
+                     _FLIPPED[predicate.op])):
+                column = _own_column(own, binding, schema)
+                fn = (_operand(other, binding, schema, prefix_scope)
+                      if column is not None else None)
+                if fn is not None:
+                    add(column, op, fn)
+                    break
+    return found
 
 
 def _index_defs(schema: TableSchema) -> list[IndexDef]:
@@ -386,121 +479,90 @@ def _index_defs(schema: TableSchema) -> list[IndexDef]:
     return defs
 
 
-def _find_index(schema: TableSchema,
-                columns: Iterable[str]) -> Optional[IndexDef]:
-    wanted = set(columns)
-    best: Optional[IndexDef] = None
-    for index in _index_defs(schema):
-        if all(c in wanted for c in index.columns):
-            if best is None or len(index.columns) > len(best.columns):
-                best = index
-    return best
+def _walk_direction(order: Sequence[tuple[str, bool]],
+                    columns: Sequence[str], prefix: int) -> Optional[bool]:
+    """``descending`` for a walk whose key order is ``order``, else None.
 
-
-def _compile_index_probe(predicates: Sequence[ast.Expr], binding: str,
-                         schema: TableSchema,
-                         prefix_scope: Scope) -> Optional[IndexProbe]:
-    equalities: dict[str, ast.Expr] = {}
-    for predicate in predicates:
-        pair = _equality_pair(predicate, binding, schema)
-        if pair is not None:
-            equalities.setdefault(pair[0], pair[1])
-    if not equalities:
-        return None
-    index = _find_index(schema, equalities.keys())
-    if index is None:
-        return None
-    key_fns = []
-    for column in index.columns:
-        key_fn = _compile_const(equalities[column], prefix_scope)
-        if key_fn is None:
-            return None
-        key_fns.append(key_fn)
-    return IndexProbe(index.name, tuple_fn(key_fns))
-
-
-def _compile_pk_bound(predicate: ast.Expr, binding: str, schema: TableSchema,
-                      pk_col: str, prefix_scope: Scope
-                      ) -> Optional[tuple[str, Callable]]:
-    """One predicate's contribution to the PK range, pre-classified.
-
-    Returns ``(kind, bound_fn)`` where ``kind`` records the static
-    capability ("lo", "hi", "between") used to decide whether a range
-    probe is worth emitting at all, and ``bound_fn(rows, params)``
-    evaluates the bound at run time.
+    The ORDER BY columns must follow the index columns after the
+    equality prefix, in one direction; prefix columns are constant over
+    the walk, so they may appear anywhere.
     """
-    def is_pk_ref(expr: ast.Expr) -> bool:
-        return (isinstance(expr, ast.ColumnRef)
-                and expr.column == pk_col
-                and expr.table in (None, binding))
-
-    def usable_const(expr: ast.Expr) -> Optional[Callable]:
-        if _references_binding(expr, binding, schema):
-            return None
-        return _compile_int_const(expr, prefix_scope)
-
-    if isinstance(predicate, ast.Between) and not predicate.negated \
-            and is_pk_ref(predicate.value):
-        low_fn = usable_const(predicate.low)
-        high_fn = usable_const(predicate.high)
-        if low_fn is None or high_fn is None:
-            return None
-        def between_bound(rows, params):
-            low = low_fn(rows, params)
-            high = high_fn(rows, params)
-            if low is None or high is None:
-                return None
-            return "between", (low, high)
-        return "between", between_bound
-    if not isinstance(predicate, ast.BinaryOp):
-        return None
-    op = predicate.op
-    if op not in (">", ">=", "<", "<="):
-        return None
-    left, right = predicate.left, predicate.right
-    if is_pk_ref(left):
-        value_fn = usable_const(right)
-        direction = {"<": ("hi", 0), "<=": ("hi", 1),
-                     ">": ("lo", 1), ">=": ("lo", 0)}[op]
-    elif is_pk_ref(right):
-        value_fn = usable_const(left)
-        # value OP pk -> flip the comparison.
-        direction = {"<": ("lo", 1), "<=": ("lo", 0),
-                     ">": ("hi", 0), ">=": ("hi", 1)}[op]
-    else:
-        return None
-    if value_fn is None:
-        return None
-    kind, delta = direction
-    def comparison_bound(rows, params):
-        value = value_fn(rows, params)
-        if value is None:
-            return None
-        return kind, value + delta
-    return kind, comparison_bound
-
-
-def _compile_pk_range(predicates: Sequence[ast.Expr], binding: str,
-                      schema: TableSchema,
-                      prefix_scope: Scope) -> Optional[PkRangeProbe]:
-    if len(schema.primary_key) != 1:
-        return None
-    pk_col = schema.primary_key[0]
-    kinds: set[str] = set()
-    bound_fns = []
-    for predicate in predicates:
-        compiled = _compile_pk_bound(predicate, binding, schema, pk_col,
-                                     prefix_scope)
-        if compiled is None:
+    fixed = set(columns[:prefix])
+    rest = columns[prefix:]
+    direction: Optional[bool] = None
+    matched = 0
+    for column, descending in order:
+        if column in fixed:
             continue
-        kind, bound_fn = compiled
-        kinds.add(kind)
-        bound_fns.append(bound_fn)
-    # A range needs both ends; a probe that can never produce them
-    # would just be a slower full scan.
-    if "between" not in kinds and not {"lo", "hi"} <= kinds:
-        return None
-    return PkRangeProbe(tuple(bound_fns))
+        if (matched == len(rest) or rest[matched] != column
+                or direction not in (None, descending)):
+            return None
+        direction = descending
+        matched += 1
+    return direction
+
+
+def _key_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    if len(positions) == 1:
+        position, = positions
+        return lambda values: (values[position],)
+    return operator.itemgetter(*positions)
+
+
+def _access_path(predicates: Sequence[ast.Expr], binding: str,
+                 schema: TableSchema, prefix_scope: Scope,
+                 order: Optional[Sequence[tuple[str, bool]]]
+                 ) -> tuple[Optional[IndexProbe], Optional[IndexWalk]]:
+    """Choose this source's index path: a probe, a walk, or neither.
+
+    An equality probe needs every column of its index bound.  A walk
+    needs an equality prefix, a range on the next column, or an ORDER BY
+    it can deliver (``order``, given only when a LIMIT makes stopping
+    early worthwhile).  Each walk ranks by its prefix length, plus a
+    half for a range or a pushed-down ORDER BY; a probe ranks by its
+    column count and always wins on a unique index.
+    """
+    equalities = _equalities(predicates, binding, schema, prefix_scope)
+    ranges = _ranges(predicates, binding, schema, prefix_scope)
+    probe: Optional[IndexDef] = None
+    walk: Optional[tuple[tuple, IndexDef, int, Optional[bool]]] = None
+    for index in _index_defs(schema):
+        columns = index.columns
+        prefix = 0
+        while prefix < len(columns) and columns[prefix] in equalities:
+            prefix += 1
+        if prefix == len(columns):
+            if probe is None or (index.unique, len(columns)) > (
+                    probe.unique, len(probe.columns)):
+                probe = index
+            continue
+        has_range = columns[prefix] in ranges
+        direction = (_walk_direction(order, columns, prefix)
+                     if order else None)
+        ordered = direction is not None
+        if not (prefix or has_range or ordered):
+            continue
+        rank = (prefix + (0.5 if has_range or ordered else 0),
+                has_range, ordered, -len(columns))
+        if walk is None or rank > walk[0]:
+            walk = (rank, index, prefix, direction)
+    if probe is not None and (probe.unique or walk is None
+                              or len(probe.columns) >= walk[0][0]):
+        return IndexProbe(probe.name, tuple_fn(
+            [equalities[c] for c in probe.columns])), None
+    if walk is None:
+        return None, None
+    _rank, index, prefix, direction = walk
+    positions = [schema.position(c) for c in index.columns]
+    lower, upper = ranges.get(index.columns[prefix], ([], []))
+    return None, IndexWalk(
+        index_name=index.name,
+        prefix_fns=tuple(equalities[c] for c in index.columns[:prefix]),
+        lower=tuple(lower), upper=tuple(upper),
+        checks=tuple(_bound_check(schema.columns[p])
+                     for p in positions[:prefix + 1]),
+        key_of=_key_getter(positions),
+        descending=bool(direction), pushdown=direction is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +580,7 @@ class CompiledSource:
     schema: TableSchema
     join_kind: str
     index_probe: Optional[IndexProbe]
-    pk_range: Optional[PkRangeProbe]
+    walk: Optional[IndexWalk]
     #: Residual filter over (rows, params) -> bool; None accepts all.
     #: Always re-checks every predicate — index candidates are
     #: conservative supersets.
@@ -627,6 +689,8 @@ class CompiledSelect:
     distinct: bool
     limit_fn: Optional[ExprFn]
     offset_fn: Optional[ExprFn]
+    #: Table-less SELECT only: its WHERE; None accepts the one row.
+    where_fn: Optional[ExprFn] = None
 
 
 @dataclass(frozen=True)
@@ -661,6 +725,9 @@ class CompiledUpdate:
     schema: TableSchema
     source: CompiledSource
     assignments: tuple[CompiledAssignment, ...]
+    #: Whether an assignment targets an indexed column, so an updated
+    #: row may leave the index keys its committed versions are under.
+    rekeys: bool = False
 
 
 @dataclass(frozen=True)
@@ -809,14 +876,14 @@ def _bindings_of(expr: ast.Expr,
 def _compile_source(slot: int, binding: str, schema: TableSchema,
                     table_name: str, join_kind: str,
                     predicates: Sequence[ast.Expr], prefix_scope: Scope,
-                    full_scope: Scope,
-                    post: Sequence[ast.Expr] = ()) -> CompiledSource:
-    index_probe = _compile_index_probe(predicates, binding, schema,
-                                       prefix_scope)
-    pk_range = _compile_pk_range(predicates, binding, schema, prefix_scope)
+                    full_scope: Scope, post: Sequence[ast.Expr] = (),
+                    order: Optional[Sequence[tuple[str, bool]]] = None
+                    ) -> CompiledSource:
+    index_probe, walk = _access_path(predicates, binding, schema,
+                                     prefix_scope, order)
     return CompiledSource(
         slot=slot, binding=binding, table=table_name, schema=schema,
-        join_kind=join_kind, index_probe=index_probe, pk_range=pk_range,
+        join_kind=join_kind, index_probe=index_probe, walk=walk,
         filter=_compile_conjunction(predicates, full_scope),
         post_filter=_compile_conjunction(post, full_scope))
 
@@ -835,46 +902,80 @@ def _compile_order_key(order: ast.OrderItem, scope: Scope,
     return OrderKey(order.descending, fn=compile_expr(expr, scope))
 
 
+def _pushdown_order(stmt: ast.Select, items: Sequence[tuple[ast.Expr, str]],
+                    columns: Sequence[str], binding: str,
+                    schema: TableSchema
+                    ) -> Optional[tuple[tuple[str, bool], ...]]:
+    """The ORDER BY as ``(column, descending)`` pairs of the one source.
+
+    None unless every key is a plain column of that source, resolved as
+    :func:`_compile_order_key` resolves it (position, output name, then
+    source column).
+    """
+    order: list[tuple[str, bool]] = []
+    for item in stmt.order_by:
+        expr = item.expr
+        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+            if not 0 < expr.value <= len(items):
+                return None
+            expr = items[expr.value - 1][0]
+        elif (isinstance(expr, ast.ColumnRef) and expr.table is None
+              and expr.column in columns):
+            expr = items[columns.index(expr.column)][0]
+        column = _own_column(expr, binding, schema)
+        if column is None:
+            return None
+        order.append((column, item.descending))
+    return tuple(order)
+
+
 def _compile_select(stmt: ast.Select, catalog: Catalog) -> CompiledSelect:
     empty_scope = Scope([])
-    if stmt.table is None:
-        # Scalar SELECT projects one row and ignores WHERE/ORDER BY/
-        # LIMIT entirely (never compiling, hence never erroring on,
-        # the ignored clauses).
-        project_fn = tuple_fn([compile_expr(item.expr, empty_scope)
-                               for item in stmt.items])
-        columns = [_item_name(item, i) for i, item in enumerate(stmt.items)]
-        return CompiledSelect(
-            scalar=True, sources=(), for_update=False, columns=columns,
-            project_fn=project_fn, aggregation=None, order_keys=(),
-            distinct=False, limit_fn=None, offset_fn=None)
-
     limit_fn = (compile_expr(stmt.limit, empty_scope)
                 if stmt.limit is not None else None)
     offset_fn = (compile_expr(stmt.offset, empty_scope)
                  if stmt.offset is not None else None)
+    if stmt.table is None:
+        # A table-less SELECT projects at most one row; its WHERE and
+        # LIMIT/OFFSET decide whether it does.  ORDER BY over one row
+        # is ignored (never compiled, hence never erroring).
+        project_fn = tuple_fn([compile_expr(item.expr, empty_scope)
+                               for item in stmt.items])
+        columns = [_item_name(item, i) for i, item in enumerate(stmt.items)]
+        where_fn = (_compile_conjunction([stmt.where], empty_scope)
+                    if stmt.where is not None else None)
+        return CompiledSelect(
+            scalar=True, sources=(), for_update=False, columns=columns,
+            project_fn=project_fn, aggregation=None, order_keys=(),
+            distinct=False, limit_fn=limit_fn, offset_fn=offset_fn,
+            where_fn=where_fn)
 
     pairs, placed, post = _build_sources(stmt, catalog)
     scope_slots = [(binding, schema) for binding, schema, _t, _k in pairs]
     full_scope = Scope(scope_slots)
+    items = _expand_items(stmt, [(b, s) for b, s, _t, _k in pairs])
+    columns = [name for _, name in items]
+    # HAVING without GROUP BY makes the whole input one group.
+    is_grouped = bool(stmt.group_by) or stmt.having is not None or any(
+        _contains_aggregate(item.expr) for item in stmt.items if not item.star)
+    order = None
+    if (len(pairs) == 1 and stmt.limit is not None and stmt.order_by
+            and not is_grouped and not stmt.distinct):
+        order = _pushdown_order(stmt, items, columns, pairs[0][0],
+                                pairs[0][1])
     sources = tuple(
         _compile_source(slot, binding, schema, table_name, kind,
                         placed[slot], Scope(scope_slots[:slot]), full_scope,
-                        post[slot])
+                        post[slot], order)
         for slot, (binding, schema, table_name, kind) in enumerate(pairs))
-
-    items = _expand_items(stmt, [(b, s) for b, s, _t, _k in pairs])
-    columns = [name for _, name in items]
-    is_grouped = bool(stmt.group_by) or any(
-        _contains_aggregate(item.expr) for item in stmt.items if not item.star)
 
     aggs: list[CompiledAggregate] = []
     item_scope = _aggregate_scope(full_scope, aggs) if is_grouped \
         else full_scope
     project_fn = tuple_fn([compile_expr(expr, item_scope)
                            for expr, _ in items])
-    order_keys = tuple(_compile_order_key(order, item_scope, columns)
-                       for order in stmt.order_by)
+    order_keys = tuple(_compile_order_key(item, item_scope, columns)
+                       for item in stmt.order_by)
     aggregation = None
     if is_grouped:
         aggregation = CompiledAggregation(
@@ -970,8 +1071,11 @@ def _compile_update(stmt: ast.Update, catalog: Catalog) -> CompiledUpdate:
                                             schema.position(a.column)]),
             value_fn=compile_expr(a.value, scope))
         for a in stmt.assignments)
-    return CompiledUpdate(table=stmt.table, schema=schema, source=source,
-                          assignments=assignments)
+    indexed = {c for index in _index_defs(schema) for c in index.columns}
+    return CompiledUpdate(
+        table=stmt.table, schema=schema, source=source,
+        assignments=assignments,
+        rekeys=any(a.column in indexed for a in stmt.assignments))
 
 
 def _compile_delete(stmt: ast.Delete, catalog: Catalog) -> CompiledDelete:

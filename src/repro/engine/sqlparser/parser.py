@@ -5,10 +5,11 @@ Grammar (informal):
     stmt        := select | insert | update | delete | create_table
                  | create_index | drop_table | txn_control
     select      := SELECT [DISTINCT] items FROM table_ref join* [WHERE expr]
-                   [GROUP BY exprs [HAVING expr]] [ORDER BY order_items]
+                   [GROUP BY exprs] [HAVING expr] [ORDER BY order_items]
                    [LIMIT expr [OFFSET expr]] [FOR UPDATE]
-    expr        := or_expr with the usual precedence
-                   (OR < AND < NOT < comparison < additive < multiplicative)
+    expr        := or_expr with sqlite's precedence
+                   (OR < AND < NOT < comparison < additive < multiplicative
+                    < concatenation ``||`` < unary)
 
 Parsed statements are cached by the database facade, so the parser favours
 clarity over raw speed.
@@ -133,8 +134,8 @@ class Parser:
             group_by.append(self._parse_expr())
             while self._accept("op", ","):
                 group_by.append(self._parse_expr())
-            if self._accept("keyword", "having"):
-                having = self._parse_expr()
+        if self._accept("keyword", "having"):
+            having = self._parse_expr()
 
         order_by: list[ast.OrderItem] = []
         if self._accept_keyword("order", "by"):
@@ -404,21 +405,27 @@ class Parser:
         left = self._parse_multiplicative()
         while True:
             token = self._peek()
-            if token.kind == "op" and token.value in ("+", "-", "||"):
+            if token.kind == "op" and token.value in ("+", "-"):
                 op = str(self._next().value)
                 left = ast.BinaryOp(op, left, self._parse_multiplicative())
             else:
                 return left
 
     def _parse_multiplicative(self) -> ast.Expr:
-        left = self._parse_unary()
+        left = self._parse_concat()
         while True:
             token = self._peek()
             if token.kind == "op" and token.value in ("*", "/", "%"):
                 op = str(self._next().value)
-                left = ast.BinaryOp(op, left, self._parse_unary())
+                left = ast.BinaryOp(op, left, self._parse_concat())
             else:
                 return left
+
+    def _parse_concat(self) -> ast.Expr:
+        left = self._parse_unary()
+        while self._accept("op", "||"):
+            left = ast.BinaryOp("||", left, self._parse_unary())
+        return left
 
     def _parse_unary(self) -> ast.Expr:
         if self._accept("op", "-"):

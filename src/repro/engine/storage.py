@@ -13,19 +13,29 @@ key predicates against the version actually visible to the reader, and
 pruning removes stale entries once no active snapshot can see them.  This
 keeps index maintenance simple and correct under both 2PL and snapshot
 isolation.
+
+Every index is a hash map ``key -> rowids``.  The first time a plan walks
+an index in key order, the index also gets a :class:`SortedKeys` list of
+its distinct keys; from then on a key enters the list when it first
+enters the hash map and leaves it when pruning empties its bucket.  Keys
+holding a NULL (or a float NaN) have no place in that order and are kept
+in a side set instead.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from ..errors import IntegrityError
 from .catalog import IndexDef, TableSchema
 
 #: Snapshot timestamp meaning "read the latest committed version".
 READ_LATEST = float("inf")
+
+_EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,156 @@ class Version:
         return self.values is None
 
 
+class _Top:
+    """Sorts after every key value; ``prefix + (TOP,)`` bounds a prefix."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    def __le__(self, other: object) -> bool:
+        return other is self
+
+    def __gt__(self, other: object) -> bool:
+        return other is not self
+
+    def __ge__(self, other: object) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "TOP"
+
+
+#: Key-bound sentinel: ``bisect_left(keys, prefix + (TOP,))`` is the
+#: position just past every key that starts with ``prefix``.
+TOP = _Top()
+
+
+class SortedKeys:
+    """Distinct key tuples in sorted blocks of about :attr:`LOAD` keys.
+
+    One flat sorted list would make every insert an O(n) memmove; blocks
+    keep an insert at O(log n + LOAD) however large the index grows.
+    ``_maxes[i]`` is the last key of ``_blocks[i]``; no block is empty.
+    """
+
+    LOAD = 256
+
+    def __init__(self, keys: Iterable[tuple] = ()) -> None:
+        ordered = sorted(keys)
+        load = self.LOAD
+        self._blocks = [ordered[i:i + load]
+                        for i in range(0, len(ordered), load)]
+        self._maxes = [block[-1] for block in self._blocks]
+
+    def __iter__(self) -> Iterator[tuple]:
+        for block in self._blocks:
+            yield from block
+
+    def add(self, key: tuple) -> None:
+        """Insert ``key``, which must not be present yet."""
+        maxes = self._maxes
+        if not maxes:
+            self._blocks.append([key])
+            maxes.append(key)
+            return
+        i = bisect_left(maxes, key)
+        if i == len(maxes):
+            i -= 1
+        block = self._blocks[i]
+        insort(block, key)
+        maxes[i] = block[-1]
+        if len(block) > 2 * self.LOAD:
+            half = len(block) // 2
+            self._blocks[i:i + 1] = [block[:half], block[half:]]
+            maxes[i:i + 1] = [block[half - 1], block[-1]]
+
+    def remove(self, key: tuple) -> None:
+        """Delete ``key``, which must be present."""
+        i = bisect_left(self._maxes, key)
+        block = self._blocks[i]
+        del block[bisect_left(block, key)]
+        if block:
+            self._maxes[i] = block[-1]
+        else:
+            del self._blocks[i]
+            del self._maxes[i]
+
+    def _position(self, bound: tuple) -> tuple[int, int]:
+        """``(block, offset)`` of the first key not less than ``bound``."""
+        i = bisect_left(self._maxes, bound)
+        if i == len(self._maxes):
+            return i, 0
+        return i, bisect_left(self._blocks[i], bound)
+
+    def between(self, low: tuple, high: tuple, descending: bool = False,
+              limit: Optional[int] = None) -> list[tuple]:
+        """Keys ``k`` with ``low <= k < high``, in order, at most ``limit``.
+
+        Bounds may be shorter than the keys (a prefix) and may end in
+        :data:`TOP`, so one half-open form expresses every mix of
+        inclusive and exclusive bounds.
+        """
+        blocks = self._blocks
+        out: list[tuple] = []
+        if not descending:
+            i, j = self._position(low)
+            while i < len(blocks):
+                block = blocks[i]
+                while j < len(block):
+                    key = block[j]
+                    if not key < high or len(out) == limit:
+                        return out
+                    out.append(key)
+                    j += 1
+                i, j = i + 1, 0
+            return out
+        i, j = self._position(high)
+        while True:
+            j -= 1
+            if j < 0:
+                i -= 1
+                if i < 0:
+                    return out
+                j = len(blocks[i]) - 1
+            key = blocks[i][j]
+            if key < low or len(out) == limit:
+                return out
+            out.append(key)
+
+
+def orderable(key: tuple) -> bool:
+    """Whether ``key`` has a place in index order: no NULL and no NaN."""
+    for value in key:
+        if value is None or value != value:
+            return False
+    return True
+
+
+class OrderedIndex:
+    """The key order of one index: sorted keys plus the unorderable rest."""
+
+    __slots__ = ("keys", "unordered")
+
+    def __init__(self, keys: Iterable[tuple]) -> None:
+        keys = list(keys)
+        self.keys = SortedKeys(k for k in keys if orderable(k))
+        self.unordered: set[tuple] = {k for k in keys if not orderable(k)}
+
+    def add(self, key: tuple) -> None:
+        if orderable(key):
+            self.keys.add(key)
+        else:
+            self.unordered.add(key)
+
+    def remove(self, key: tuple) -> None:
+        if orderable(key):
+            self.keys.remove(key)
+        else:
+            self.unordered.discard(key)
+
+
 class TableData:
     """Row storage plus indexes for a single table."""
 
@@ -51,6 +211,8 @@ class TableData:
         # the reserved name "__pk__" when the table declares one.
         self._indexes: dict[str, dict[tuple, set[int]]] = {}
         self._index_defs: dict[str, IndexDef] = {}
+        # index name -> key order, built on first use by an ordered walk.
+        self._ordered: dict[str, OrderedIndex] = {}
         self._multiversion_rows: set[int] = set()
         if schema.primary_key:
             self._index_defs["__pk__"] = IndexDef(
@@ -72,6 +234,7 @@ class TableData:
                     key = tuple(version.values[p] for p in positions)
                     entries.setdefault(key, set()).add(rowid)
         self._indexes[index.name] = entries
+        self._ordered.pop(index.name, None)
 
     def index_defs(self) -> list[IndexDef]:
         return list(self._index_defs.values())
@@ -104,6 +267,40 @@ class TableData:
         if entries is None:
             return set()
         return set(entries.get(key, ()))
+
+    def ordered_index(self, index_name: str) -> OrderedIndex:
+        """The key order of ``index_name``, built on first request.
+
+        Callers hold the database latch, as for every index read.
+        """
+        ordered = self._ordered.get(index_name)
+        if ordered is None:
+            ordered = OrderedIndex(self._indexes[index_name])
+            self._ordered[index_name] = ordered
+        return ordered
+
+    def index_bucket(self, index_name: str, key: tuple) -> AbstractSet[int]:
+        """The live rowid set under ``key``; callers must not mutate it."""
+        return self._indexes[index_name].get(key, _EMPTY)
+
+    def walk_candidates(self, index_name: str, prefix: tuple, low: tuple,
+                        high: tuple) -> set[int]:
+        """Rowids under keys ``low <= key < high``, plus NULL keys that
+        share the equality ``prefix`` (a conservative superset).
+
+        Keys with a NULL are not in the index order; the caller's filter
+        drops those the range excludes.
+        """
+        ordered = self.ordered_index(index_name)
+        entries = self._indexes[index_name]
+        candidates: set[int] = set()
+        for key in ordered.keys.between(low, high):
+            candidates |= entries[key]
+        width = len(prefix)
+        for key in ordered.unordered:
+            if key[:width] == prefix:
+                candidates |= entries[key]
+        return candidates
 
     def find_index(self, columns: Iterable[str]) -> Optional[IndexDef]:
         """An index whose column list is a prefix-match of ``columns``.
@@ -165,7 +362,14 @@ class TableData:
         if version.values is not None:
             for index in self._index_defs.values():
                 key = self._index_key(index, version.values)
-                self._indexes[index.name].setdefault(key, set()).add(rowid)
+                entries = self._indexes[index.name]
+                bucket = entries.get(key)
+                if bucket is None:
+                    entries[key] = bucket = set()
+                    ordered = self._ordered.get(index.name)
+                    if ordered is not None:
+                        ordered.add(key)
+                bucket.add(rowid)
 
     # -- garbage collection --------------------------------------------------
 
@@ -222,6 +426,9 @@ class TableData:
                     bucket.discard(rowid)
                     if not bucket:
                         del entries[key]
+                        ordered = self._ordered.get(index.name)
+                        if ordered is not None:
+                            ordered.remove(key)
 
     # -- stats ----------------------------------------------------------------
 

@@ -47,6 +47,9 @@ class TxnStats:
     rows_deleted: int = 0
     index_lookups: int = 0
     full_scans: int = 0
+    #: Candidate rows whose visible version a scan read: what an access
+    #: path costs, where ``rows_read`` counts only the rows it returned.
+    rows_examined: int = 0
 
     @property
     def write_footprint(self) -> int:
@@ -68,8 +71,10 @@ class Transaction:
         # (table name, rowid) -> WriteOp; insertion order preserved so that
         # commit application replays writes deterministically.
         self.workspace: dict[tuple[str, int], WriteOp] = {}
-        # table -> rowids this txn inserted (scan overlay)
-        self.inserted: dict[str, set[int]] = {}
+        # table -> rowids the committed indexes cannot find under their
+        # workspace values: this txn's inserts and its updates of indexed
+        # columns.  Every scan adds them to its candidates.
+        self.unindexed: dict[str, set[int]] = {}
         self.stats = TxnStats()
 
     # -- workspace helpers -------------------------------------------------
@@ -79,15 +84,19 @@ class Transaction:
 
     def buffer_insert(self, table: str, rowid: int, values: tuple) -> None:
         self.workspace[(table, rowid)] = WriteOp(INSERT, values)
-        self.inserted.setdefault(table, set()).add(rowid)
+        self.unindexed.setdefault(table, set()).add(rowid)
         self.stats.rows_inserted += 1
 
-    def buffer_update(self, table: str, rowid: int, values: tuple) -> None:
+    def buffer_update(self, table: str, rowid: int, values: tuple,
+                      rekeyed: bool = False) -> None:
+        """Buffer new values; ``rekeyed`` when an indexed column changed."""
         existing = self.workspace.get((table, rowid))
         if existing is not None and existing.kind == INSERT:
             existing.values = values
         else:
             self.workspace[(table, rowid)] = WriteOp(UPDATE, values)
+            if rekeyed:
+                self.unindexed.setdefault(table, set()).add(rowid)
         self.stats.rows_written += 1
 
     def buffer_delete(self, table: str, rowid: int) -> None:
@@ -95,7 +104,7 @@ class Transaction:
         if existing is not None and existing.kind == INSERT:
             # Inserting then deleting inside one txn cancels out.
             del self.workspace[(table, rowid)]
-            self.inserted.get(table, set()).discard(rowid)
+            self.unindexed.get(table, set()).discard(rowid)
         else:
             self.workspace[(table, rowid)] = WriteOp(DELETE, None)
         self.stats.rows_deleted += 1
@@ -177,7 +186,7 @@ class TransactionManager:
         with self._latch:
             if txn.active:
                 txn.workspace.clear()
-                txn.inserted.clear()
+                txn.unindexed.clear()
                 self._finish(txn)
                 self.aborted += 1
 

@@ -9,7 +9,7 @@ counter accounting, DDL invalidation, and access-path selection.
 import pytest
 
 from repro.engine import Database, LruCache, PlanCache, connect
-from repro.engine.plan import (CompiledSelect, IndexProbe, PkRangeProbe,
+from repro.engine.plan import (CompiledSelect, IndexProbe, IndexWalk,
                                compile_statement)
 from repro.errors import ProgrammingError
 
@@ -203,7 +203,72 @@ def test_pk_range_predicate_compiles_a_range_probe(loaded):
     plan = plan_of(db, "SELECT a FROM t WHERE a BETWEEN ? AND ?")
     source = plan.sources[0]
     assert source.index_probe is None
-    assert isinstance(source.pk_range, PkRangeProbe)
+    assert isinstance(source.walk, IndexWalk)
+    assert source.walk.index_name == "__pk__"
+    assert source.walk.prefix_fns == ()
+    assert len(source.walk.lower) == len(source.walk.upper) == 1
+    assert not source.walk.pushdown
+
+
+@pytest.fixture
+def orders(db):
+    conn = connect(db)
+    execute(conn, "CREATE TABLE o (w INT, d INT, id INT, c INT, "
+                  "PRIMARY KEY (w, d, id))")
+    execute(conn, "CREATE INDEX idx_o_district ON o (w, d)")
+    execute(conn, "CREATE INDEX idx_o_customer ON o (w, d, c)")
+    conn.commit()
+    yield db
+    conn.close()
+
+
+def test_prefix_and_range_walk_beats_a_shorter_probe(orders):
+    plan = plan_of(orders, "SELECT c FROM o WHERE w = ? AND d = ? "
+                           "AND id >= ? AND id < ?")
+    source = plan.sources[0]
+    assert source.index_probe is None
+    assert source.walk.index_name == "__pk__"
+    assert len(source.walk.prefix_fns) == 2
+    assert not source.walk.pushdown
+
+
+def test_order_by_limit_is_pushed_into_the_walk(orders):
+    plan = plan_of(orders, "SELECT id FROM o WHERE w = ? AND d = ? "
+                           "ORDER BY id DESC LIMIT 1 FOR UPDATE")
+    walk = plan.sources[0].walk
+    assert walk.index_name == "__pk__"
+    assert walk.pushdown and walk.descending
+
+
+def test_longer_probe_beats_an_ordered_walk(orders):
+    plan = plan_of(orders, "SELECT id FROM o WHERE w = ? AND d = ? "
+                           "AND c = ? ORDER BY id DESC LIMIT 1")
+    source = plan.sources[0]
+    assert source.index_probe.index_name == "idx_o_customer"
+    assert source.walk is None
+
+
+def test_unique_probe_beats_any_walk(orders):
+    plan = plan_of(orders, "SELECT c FROM o WHERE w = ? AND d = ? "
+                           "AND id = ? ORDER BY id LIMIT 1")
+    assert plan.sources[0].index_probe.index_name == "__pk__"
+
+
+@pytest.mark.parametrize("sql", [
+    # No LIMIT: nothing to stop early for.
+    "SELECT id FROM o WHERE w = 1 AND d = 1 ORDER BY id",
+    # Keys out of index order, or mixed directions.
+    "SELECT id FROM o WHERE w = 1 ORDER BY id LIMIT 1",
+    "SELECT id FROM o WHERE w = 1 ORDER BY d, id DESC LIMIT 1",
+    # Grouped, DISTINCT, or joined output is not one row per index key.
+    "SELECT count(*) FROM o WHERE w = 1 AND d = 1 ORDER BY 1 LIMIT 1",
+    "SELECT DISTINCT id FROM o WHERE w = 1 AND d = 1 ORDER BY id LIMIT 1",
+    "SELECT o.id FROM o JOIN o p ON p.w = o.w AND p.d = o.d "
+    "AND p.id = o.id WHERE o.w = 1 AND o.d = 1 ORDER BY o.id LIMIT 1",
+])
+def test_order_by_limit_pushdown_needs_a_single_ordered_source(orders, sql):
+    walk = plan_of(orders, sql).sources[0].walk
+    assert walk is None or not walk.pushdown
 
 
 def test_unindexed_predicate_falls_back_to_full_scan(loaded):
@@ -211,7 +276,7 @@ def test_unindexed_predicate_falls_back_to_full_scan(loaded):
     plan = plan_of(db, "SELECT a FROM t WHERE c = ?")
     source = plan.sources[0]
     assert source.index_probe is None
-    assert source.pk_range is None
+    assert source.walk is None
     assert source.filter is not None
 
 

@@ -81,8 +81,19 @@ SELECT_CASES = [
     ("SELECT name FROM items WHERE id = ?", (3,)),
     ("SELECT id FROM items WHERE id BETWEEN ? AND ? ORDER BY id", (2, 4)),
     ("SELECT id FROM items WHERE grp = ? ORDER BY id", (2,)),
-    # Non-integer PK range operand: runtime fallback to full scan.
+    # Float bound on the INT PK: an ordered walk from 2 upwards.
     ("SELECT id FROM items WHERE id > ? ORDER BY id", (1.5,)),
+    # Numeric-string bound: SQL compares it as a number, Python order
+    # would not, so the walk declines and the full scan answers.
+    ("SELECT id FROM items WHERE ? < id ORDER BY id", ("2",)),
+    # ORDER BY ... LIMIT pushed into PK walks, both directions.
+    ("SELECT id FROM items WHERE id >= 2 ORDER BY id DESC LIMIT 2 "
+     "OFFSET 1", ()),
+    ("SELECT item_id, tag FROM tags WHERE item_id = 1 ORDER BY tag "
+     "LIMIT 1", ()),
+    # An index walk over a NULL key: NULLs sort last either way.
+    ("SELECT grp FROM items ORDER BY grp DESC LIMIT 5", ()),
+    ("SELECT grp FROM items ORDER BY grp LIMIT 5", ()),
     # Joins, including LEFT JOIN missed side producing NULLs.
     ("SELECT i.id, t.tag FROM items i JOIN tags t ON t.item_id = i.id "
      "ORDER BY i.id, t.tag", ()),
@@ -102,8 +113,18 @@ SELECT_CASES = [
     ("SELECT id, name FROM items ORDER BY 2 DESC", ()),
     ("SELECT id FROM items ORDER BY id DESC LIMIT 2", ()),
     ("SELECT id FROM items ORDER BY id LIMIT 2 OFFSET 2", ()),
-    # Scalar (table-less) selects.
+    # Scalar (table-less) selects; WHERE and LIMIT decide the one row.
     ("SELECT 1 + 1, 'x' || 'y'", ()),
+    ("SELECT 1 WHERE 1 = 0", ()),
+    ("SELECT 1 WHERE 1 = 1 LIMIT 0", ()),
+    # round() rounds half away from zero and returns a float.
+    ("SELECT round(2.5), round(-2.5), round(0.49), round(7)", ()),
+    # || binds tighter than * and +: 2 * ('3' || '4') = 68.
+    ("SELECT 2 * 3 || 4", ()),
+    ("SELECT 1 + 2 || 3, 1 || 2 * 3", ()),
+    # HAVING without GROUP BY: the whole input is one group.
+    ("SELECT count(*) FROM items HAVING count(*) > 1", ()),
+    ("SELECT count(*) FROM items HAVING count(*) > 10", ()),
     # Mixed-type comparison: string column against numeric string.
     ("SELECT id FROM items WHERE name > '1' ORDER BY id", ()),
     # Empty groups: bare columns read as NULL next to the aggregates.

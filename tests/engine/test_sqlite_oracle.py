@@ -6,14 +6,20 @@ statements in the supported SQL subset, runs each statement on the
 engine and on sqlite3 (``sqlite_oracle.Twin``), and asserts the same
 rows, rowcounts and column names.
 
-The subset covers PK point and range lookups, index equality, two-table
-inner and LEFT joins, GROUP BY/HAVING and aggregates, DISTINCT, ORDER
-BY and LIMIT/OFFSET, IN/BETWEEN/LIKE, CASE/COALESCE, UPDATE with
-arithmetic SET, and DELETE with a predicate.  Generated statements stay
-inside what both dialects define identically: operands of one type
-class per operator, no division or modulo by zero, no modulo over
-floats, and an ORDER BY that orders the output totally whenever row
-order is compared.
+The subset covers PK point and range lookups, index equality, ordered
+index walks (an equality prefix of a composite PK or secondary index
+plus a range on the next column, with float bounds on INT columns and
+NULLs in secondary-index columns), ``ORDER BY <index columns> ASC/DESC
+LIMIT k OFFSET m`` pushed into such walks, two-table inner and LEFT
+joins, GROUP BY/HAVING and aggregates, DISTINCT, ORDER BY and
+LIMIT/OFFSET, IN/BETWEEN/LIKE, CASE/COALESCE, unparenthesised
+arithmetic chains (operator precedence), INSERT, UPDATE with arithmetic
+SET, and DELETE with a predicate; walks also run interleaved with
+writes, so they cross deleted, re-keyed and pruned index keys.
+Generated statements stay inside what both dialects define identically:
+operands of one type class per operator, no division or modulo by zero,
+no modulo over floats, and an ORDER BY that orders the output totally
+whenever row order is compared.
 
 Tier-1 runs the default example count.  For a longer search, select the
 profile registered in ``tests/conftest.py``::
@@ -59,6 +65,11 @@ class Table:
 
     def value_columns(self) -> list[tuple[str, str]]:
         return [(c, k) for c, k in self.columns if c not in self.pk]
+
+    def orders(self) -> list[list[str]]:
+        """Indexes whose column order is a total order: PK and suffixed."""
+        return [self.pk] + [i for i in self.indexes if i[-len(self.pk):]
+                            == self.pk]
 
     def ddl(self) -> list[str]:
         cols = ", ".join(f"{c} {SQL_TYPES[k]}" for c, k in self.columns)
@@ -106,6 +117,10 @@ def tables(draw, name: str) -> Table:
         st.lists(st.sampled_from(value_names), min_size=1, max_size=2,
                  unique=True),
         max_size=2, unique_by=tuple))
+    # A PK suffix makes an index unique, so ORDER BY its columns orders
+    # rows totally and can be pushed into the walk.
+    indexes = [columns + pk if draw(st.booleans()) else columns
+               for columns in indexes]
     table = Table(name, columns, pk, indexes)
     key = st.tuples(*(value_of(table.kind(c), nullable=False) for c in pk))
     keys = draw(st.lists(key, max_size=10, unique=True))
@@ -197,9 +212,17 @@ def numeric(draw, scope: Scope, depth: int, int_only: bool = False) -> Sql:
                 else literal(draw, INT)
         return leaf(draw, scope, FLOAT)
     shape = draw(st.sampled_from(
-        ["arith", "arith", "neg", "abs", "div", "mod", "case", "coalesce",
-         "length"]))
+        ["arith", "arith", "chain", "neg", "abs", "div", "mod", "case",
+         "coalesce", "length"]))
     sub = partial(numeric, draw, scope, depth - 1, int_only)
+    if shape == "chain":
+        # No inner parentheses: the answer depends on * binding tighter
+        # than + and -, and on left associativity.
+        parts = [sub() for _ in range(draw(st.integers(3, 4)))]
+        template = "({}"
+        for _ in parts[1:]:
+            template += " " + draw(st.sampled_from("+-*")) + " {}"
+        return join_sql(template + ")", *parts, kind=_widen(*parts))
     if shape == "arith":
         left, right = sub(), sub()
         op = draw(st.sampled_from("+-*"))
@@ -246,7 +269,9 @@ def text(draw, scope: Scope, depth: int) -> Sql:
         ["concat", "lower", "upper", "substr", "coalesce", "case"]))
     sub = partial(text, draw, scope, depth - 1)
     if shape == "concat":
-        return join_sql("({} || {})", sub(), sub(), kind=STR)
+        parts = [sub() for _ in range(draw(st.integers(2, 3)))]
+        return join_sql("(" + " || ".join("{}" for _ in parts) + ")",
+                        *parts, kind=STR)
     if shape in ("lower", "upper"):
         return join_sql(shape + "({})", sub(), kind=STR)
     if shape == "substr":
@@ -327,10 +352,54 @@ def where_clause(draw, scope: Scope, access: list[Sql]) -> Sql | None:
                     kind=INT)
 
 
+def bound(draw, kind: str) -> Sql:
+    """A range bound for a ``kind`` column; INT columns get float ones too."""
+    if kind == STR:
+        return literal(draw, STR)
+    return literal(draw, draw(st.sampled_from(NUMERIC)))
+
+
+def walk_conjuncts(draw, table: Table, columns: list[str],
+                   prefix: str = "") -> list[Sql]:
+    """Equalities on a leading run of ``columns``, then maybe a range."""
+    width = draw(st.integers(0, len(columns) - 1))
+    conjuncts = [join_sql(prefix + c + " = {}",
+                          literal(draw, STR if table.kind(c) == STR
+                                  else INT), kind=INT)
+                 for c in columns[:width]]
+    column = columns[width]
+    kind = table.kind(column)
+    shape = draw(st.sampled_from(["none", "between", "low", "high",
+                                  "both"]))
+    if shape == "between":
+        conjuncts.append(join_sql(prefix + column + " BETWEEN {} AND {}",
+                                  bound(draw, kind), bound(draw, kind),
+                                  kind=INT))
+    if shape in ("low", "both"):
+        op = draw(st.sampled_from([">", ">="]))
+        if draw(st.booleans()):
+            conjuncts.append(join_sql(prefix + column + " " + op + " {}",
+                                      bound(draw, kind), kind=INT))
+        else:  # flipped operands
+            flipped = {">": "<", ">=": "<="}[op]
+            conjuncts.append(join_sql("{} " + flipped + " " + prefix
+                                      + column, bound(draw, kind),
+                                      kind=INT))
+    if shape in ("high", "both"):
+        op = draw(st.sampled_from(["<", "<="]))
+        conjuncts.append(join_sql(prefix + column + " " + op + " {}",
+                                  bound(draw, kind), kind=INT))
+    return conjuncts
+
+
 def access_path(draw, table: Table, binding: str | None) -> list[Sql]:
     """Conjuncts that steer the planner to a specific access path."""
     prefix = f"{binding}." if binding else ""
-    shape = draw(st.sampled_from(["none", "pk_point", "pk_range", "index"]))
+    shape = draw(st.sampled_from(["none", "pk_point", "pk_range", "index",
+                                  "walk"]))
+    if shape == "walk":
+        columns = draw(st.sampled_from([table.pk] + table.indexes))
+        return walk_conjuncts(draw, table, columns, prefix)
     if shape == "pk_point":
         return [join_sql(prefix + c + " = {}",
                          literal(draw, table.kind(c)), kind=INT)
@@ -444,6 +513,42 @@ def join_selects(draw, t0: Table, t1: Table) -> tuple[str, tuple]:
     # Params follow textual order: items, then ON, then WHERE.
     rest = params[len(item_params):]
     return sql, item_params + on_params + rest
+
+
+@st.composite
+def walk_selects(draw, table: Table) -> tuple[str, tuple]:
+    """``ORDER BY <index columns> LIMIT k [OFFSET m]`` over a walk."""
+    columns = draw(st.sampled_from(table.orders()))
+    where = walk_conjuncts(draw, table, columns)
+    if draw(st.booleans()):
+        scope = Scope([("t0", table)], qualify=False)
+        where.append(predicate(draw, scope, 1))
+    direction = draw(st.sampled_from(["", " DESC"]))
+    sql = "SELECT * FROM t0"
+    params: tuple = ()
+    if where:
+        sql += " WHERE " + " AND ".join(w.text for w in where)
+        params = tuple(p for w in where for p in w.params)
+    sql += " ORDER BY " + ", ".join(c + direction for c in columns)
+    limit = limit_value(draw, 4)
+    sql += " LIMIT " + limit.text
+    params += limit.params
+    if draw(st.booleans()):
+        offset = limit_value(draw, 3)
+        sql += " OFFSET " + offset.text
+        params += offset.params
+    return sql, params
+
+
+@st.composite
+def inserts(draw, table: Table, serial: int) -> tuple[str, tuple]:
+    """A row whose k0 lies outside the generated key range."""
+    row = (100 + serial,) + tuple(
+        draw(value_of(table.kind(c), nullable=False))
+        for c in table.pk[1:]) + tuple(
+        draw(value_of(kind)) for _, kind in table.value_columns())
+    marks = ", ".join("?" for _ in row)
+    return f"INSERT INTO t0 VALUES ({marks})", row
 
 
 AGGREGATES = ["count(*)", "count({})", "count(DISTINCT {})", "sum({})",
@@ -570,6 +675,29 @@ def test_aggregate_selects_match_sqlite(data):
     try:
         run_all(twin, data.draw(st.lists(aggregate_selects(t0, t1),
                                          min_size=1, max_size=4)))
+    finally:
+        twin.close()
+
+
+@ORACLE_SETTINGS
+@given(st.data())
+def test_walks_across_writes_match_sqlite(data):
+    t0, t1 = data.draw(databases())
+    twin = make_twin(t0, t1)
+    # Prune after every commit, so walks also cross keys whose last
+    # version was dropped, not only tombstoned ones.
+    twin.db.txn_manager.PRUNE_INTERVAL = data.draw(st.sampled_from([1, 256]))
+    try:
+        for serial in range(data.draw(st.integers(1, 5))):
+            kind = data.draw(st.sampled_from(["walk", "walk", "write",
+                                              "insert"]))
+            if kind == "walk":
+                twin.check(*data.draw(walk_selects(t0)))
+            elif kind == "write":
+                twin.check(*data.draw(writes(t0)))
+            else:
+                twin.check(*data.draw(inserts(t0, serial)))
+        twin.check(*data.draw(walk_selects(t0)))
     finally:
         twin.close()
 

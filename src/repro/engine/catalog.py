@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Sequence
 
 from ..errors import ProgrammingError
 from .types import SqlType
+
+
+def key_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Row values -> the tuple of the values at ``positions``.
+
+    Built once per table or plan, so no per-row code looks a column up
+    by name.
+    """
+    if len(positions) == 1:
+        position, = positions
+        return lambda values: (values[position],)
+    if not positions:
+        return lambda values: ()
+    return operator.itemgetter(*positions)
 
 
 @dataclass(frozen=True)
@@ -44,6 +59,9 @@ class TableSchema:
             if key_col not in self._positions:
                 raise ProgrammingError(
                     f"primary key column {key_col!r} not in table {self.name!r}")
+        self.pk_positions = self.positions(self.primary_key)
+        #: Full row tuple -> its primary-key tuple.
+        self.pk_key = key_getter(self.pk_positions)
 
     def position(self, column: str) -> int:
         try:
@@ -52,6 +70,9 @@ class TableSchema:
             raise ProgrammingError(
                 f"no column {column!r} in table {self.name!r}") from None
 
+    def positions(self, columns: Sequence[str]) -> tuple[int, ...]:
+        return tuple(self.position(c) for c in columns)
+
     def has_column(self, column: str) -> bool:
         return column in self._positions
 
@@ -59,13 +80,14 @@ class TableSchema:
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
 
-    @property
-    def pk_positions(self) -> tuple[int, ...]:
-        return tuple(self.position(c) for c in self.primary_key)
-
-    def pk_key(self, row: tuple) -> tuple:
-        """Extract the primary-key tuple from a full row tuple."""
-        return tuple(row[i] for i in self.pk_positions)
+    def index_defs(self) -> list[IndexDef]:
+        """Every index storage maintains: the primary key first, as the
+        synthetic unique index ``__pk__``, then the secondary indexes."""
+        defs = list(self.indexes.values())
+        if self.primary_key:
+            defs.insert(0, IndexDef("__pk__", self.name, self.primary_key,
+                                    unique=True))
+        return defs
 
 
 class Catalog:

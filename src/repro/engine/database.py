@@ -12,10 +12,10 @@ import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..errors import ProgrammingError
+from ..errors import IntegrityError, ProgrammingError
 from .catalog import Catalog, ColumnDef, IndexDef, TableSchema
 from .executor import Executor, Result
-from .plan import LruCache, PlanCache, compile_statement
+from .plan import LruCache, PlanCache, compile_statement, row_finalizer
 from .sqlparser import ast, parse
 from .storage import TableData
 from .txn import SERIALIZABLE, Transaction, TransactionManager
@@ -45,11 +45,16 @@ class EngineCounters:
         }
 
 
+#: Statements that compile to a plan; the rest are DDL or control.
+_PLANNED = (ast.Select, ast.Insert, ast.Update, ast.Delete)
+
+
 class PreparedStatement:
     """A parsed statement plus its compiled plan (None for DDL/control).
 
-    Produced by :meth:`Database.prepare_exec`; the DB-API layer holds
-    one per ``executemany`` call so the parse/plan cost is paid once.
+    Produced by :meth:`Database.prepare_exec`, which keeps the planned
+    ones in the plan cache; the DB-API layer holds one per
+    ``executemany`` call so even the cache lookup is paid once.
     """
 
     __slots__ = ("sql", "stmt", "plan", "is_ddl")
@@ -111,27 +116,28 @@ class Database:
         return stmt
 
     def prepare_exec(self, sql: str) -> PreparedStatement:
-        """Parse and plan ``sql`` once; both steps are cached.
+        """Parse and plan ``sql`` once; a warm call is one cache hit.
 
-        The plan cache is keyed by ``(sql, catalog_version)``, so plans
-        compiled before a DDL statement can never be served after it.
-        DDL and transaction-control statements carry no plan.
+        The plan cache holds the whole :class:`PreparedStatement` keyed
+        by ``(sql, catalog_version)``, so statements prepared before a
+        DDL statement can never be served after it.  Only a miss parses
+        (through the statement cache) and compiles.  DDL and
+        transaction-control statements carry no plan and are not held
+        in the plan cache.
         """
-        stmt = self.prepare(sql)
-        return PreparedStatement(sql, stmt, self._plan_for(sql, stmt))
-
-    def _plan_for(self, sql: str, stmt: ast.Statement):
-        if not isinstance(stmt, (ast.Select, ast.Insert, ast.Update,
-                                 ast.Delete)):
-            return None
         key = (sql, self.catalog.version)
-        hit, plan = self.plan_cache.lookup(key)
-        if hit:
-            return plan
+        prepared = self.plan_cache.get(key)
+        if prepared is not None:
+            return prepared
+        stmt = self.prepare(sql)
+        if not isinstance(stmt, _PLANNED):
+            return PreparedStatement(sql, stmt, None)
+        self.plan_cache.count_miss()
         # Semantic ProgrammingErrors propagate uncached.
-        plan = compile_statement(stmt, self.catalog)
-        self.plan_cache.put(key, plan)
-        return plan
+        prepared = PreparedStatement(sql, stmt,
+                                     compile_statement(stmt, self.catalog))
+        self.plan_cache.put(key, prepared)
+        return prepared
 
     def execute(self, txn: Optional[Transaction], sql: str,
                 params: Sequence[object] = ()) -> Result:
@@ -229,26 +235,44 @@ class Database:
     # -- bulk load (loader fast path) ------------------------------------------
 
     def bulk_insert(self, table: str, rows: list[tuple]) -> int:
-        """Insert pre-validated rows directly, bypassing SQL and locking.
+        """Insert rows directly, bypassing SQL and locking.
 
-        Loaders use this to populate tables quickly; values are still
-        type-coerced and primary keys checked.
+        Loaders and dump restores use this to populate tables quickly.
+        Each row is finalized as an INSERT finalizes it (coercion, NOT
+        NULL, no NULL in the primary key), and its primary key must be
+        new.  The batch is all or nothing: when a row fails, its
+        transaction rolls back and the table is left unchanged.
         """
         schema = self.catalog.get(table)
         data = self.table_data(table)
+        finalize = row_finalizer(schema)
+        width = len(schema.columns)
+        pk_key = schema.pk_key if schema.primary_key else None
         with self.latch:
             txn = self.txn_manager.begin(SERIALIZABLE)
-            for raw in rows:
-                if len(raw) != len(schema.columns):
-                    raise ProgrammingError(
-                        f"bulk insert into {table!r} expects "
-                        f"{len(schema.columns)} values, got {len(raw)}")
-                values = tuple(
-                    column.sql_type.coerce(value)
-                    for column, value in zip(schema.columns, raw))
-                rowid = data.new_rowid()
-                txn.buffer_insert(table, rowid, values)
-            self.txn_manager.commit(txn, self._tables)
+            try:
+                keys: set[tuple] = set()
+                for raw in rows:
+                    if len(raw) != width:
+                        raise ProgrammingError(
+                            f"bulk insert into {table!r} expects "
+                            f"{width} values, got {len(raw)}")
+                    row = finalize(list(raw))
+                    if pk_key is not None:
+                        # Checked before commit, which would stop
+                        # half-way through the batch.
+                        key = pk_key(row)
+                        if (key in keys
+                                or data.pk_lookup_latest(key) is not None):
+                            raise IntegrityError(
+                                f"duplicate primary key {key!r} "
+                                f"in {table!r}")
+                        keys.add(key)
+                    txn.buffer_insert(table, data.new_rowid(), row)
+                self.txn_manager.commit(txn, self._tables)
+            except BaseException:
+                self.txn_manager.rollback(txn)
+                raise
         self.lock_manager.release_all(txn)
         self.counters.rows_inserted += len(rows)
         return len(rows)

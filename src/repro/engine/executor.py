@@ -25,7 +25,7 @@ phantom protection is limited to primary-key locking on inserts; DESIGN.md
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import AbstractSet, Optional, Sequence, TYPE_CHECKING
 
 from ..errors import IntegrityError, ProgrammingError
 from .expr import is_true
@@ -164,7 +164,8 @@ class Executor:
                                                data)
             unindexed = txn.unindexed.get(table)
             if unindexed:
-                candidates |= unindexed
+                # A new set: the candidates may be a live index bucket.
+                candidates = candidates | unindexed
             txn.stats.rows_examined += len(candidates)
             visible = []
             append = visible.append
@@ -205,11 +206,13 @@ class Executor:
 
     def _plan_candidates(self, txn: Transaction, source: CompiledSource,
                          rows: list, params: Sequence[object],
-                         data) -> set[int]:
+                         data) -> AbstractSet[int]:
         """Access-path cascade: index probe, ordered walk, full scan.
 
         The caller holds the storage latch; key closures are pure, so
         evaluating them under it is safe (and no locks are taken here).
+        A probe returns the index's live bucket, valid only under the
+        latch and never to be mutated.
         """
         probe = source.index_probe
         if probe is not None:
@@ -279,7 +282,7 @@ class Executor:
                                             batch_keys)
                 batch = []
                 for key in keys:
-                    bucket = data.index_bucket(name, key)
+                    bucket = data.index_lookup(name, key)
                     stats.rows_examined += len(bucket)
                     for rowid in bucket:
                         version = effective(table, data, rowid)
@@ -342,19 +345,9 @@ class Executor:
                 values[position] = fn((), params)
             for position, default in plan.defaults:
                 values[position] = default
-            for final in plan.finalizers:
-                value = final.coerce(values[final.position])
-                if value is None and final.not_null:
-                    raise IntegrityError(
-                        f"column {final.name!r} of {plan.table!r} "
-                        "is NOT NULL")
-                values[final.position] = value
-            row = tuple(values)
+            row = plan.finalize(values)
             if schema.primary_key:
                 key = schema.pk_key(row)
-                if any(v is None for v in key):
-                    raise IntegrityError(
-                        f"NULL in primary key of {plan.table!r}")
                 if txn.isolation == SERIALIZABLE:
                     self.db.lock_manager.acquire(
                         txn, ("key", plan.table, key), EXCLUSIVE)
@@ -427,15 +420,16 @@ class Executor:
 
     def _visible_pk_exists(self, txn: Transaction, table: str,
                            data, key: tuple) -> bool:
-        schema = data.schema
+        pk_key = data.schema.pk_key
+        effective = txn.effective_version
         with self.db.latch:
-            candidates = data.index_lookup("__pk__", key)
-            candidates |= txn.unindexed.get(table, set())
-            for rowid in candidates:
-                version = txn.effective_version(table, data, rowid)
-                if (version is not None and not version.is_tombstone
-                        and schema.pk_key(version.values) == key):
-                    return True
+            for rowids in (data.index_lookup("__pk__", key),
+                           txn.unindexed.get(table, ())):
+                for rowid in rowids:
+                    version = effective(table, data, rowid)
+                    if (version is not None and version.values is not None
+                            and pk_key(version.values) == key):
+                        return True
         return False
 
 class _SortKey:

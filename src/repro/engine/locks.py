@@ -16,7 +16,7 @@ model.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Union
 
 from ..clock import Clock, RealClock
@@ -30,12 +30,14 @@ def _compatible(held: str, requested: str) -> bool:
     return held == SHARED and requested == SHARED
 
 
-@dataclass
 class _LockEntry:
     """State of one resource: current holders and the wait queue."""
 
-    holders: dict[object, str] = field(default_factory=dict)  # txn -> mode
-    waiters: list[tuple[object, str]] = field(default_factory=list)
+    __slots__ = ("holders", "waiters")
+
+    def __init__(self) -> None:
+        self.holders: dict[object, str] = {}  # txn -> mode
+        self.waiters: list[tuple[object, str]] = []
 
 
 @dataclass
@@ -90,22 +92,26 @@ class LockManager:
         :class:`DeadlockError` when the wait would close a cycle and
         :class:`LockTimeoutError` on timeout.
         """
-        if timeout is None:
-            timeout = self.timeout
-        deadline = self._now() + timeout
         with self._condition:
             self._txn_thread[txn] = threading.get_ident()
-            entry = self._entries.setdefault(resource, _LockEntry())
+            entry = self._entries.get(resource)
+            if entry is None:
+                # Uncontended: no one holds or awaits the resource.
+                entry = self._entries[resource] = _LockEntry()
+                self._grant(entry, txn, resource, mode)
+                return True
             held_mode = entry.holders.get(txn)
             if held_mode == EXCLUSIVE or held_mode == mode:
                 return False
             if self._grantable(entry, txn, mode):
                 self._grant(entry, txn, resource, mode)
                 return True
-            # Must wait.
+            # Must wait; the timeout runs from here.
             self.stats.waits += 1
             entry.waiters.append((txn, mode))
             wait_started = self._now()
+            deadline = wait_started + (
+                self.timeout if timeout is None else timeout)
             try:
                 while True:
                     blockers = self._blockers(entry, txn, mode)
@@ -141,7 +147,9 @@ class LockManager:
         """Non-blocking acquire; returns False instead of waiting."""
         with self._condition:
             self._txn_thread[txn] = threading.get_ident()
-            entry = self._entries.setdefault(resource, _LockEntry())
+            entry = self._entries.get(resource)
+            if entry is None:
+                entry = self._entries[resource] = _LockEntry()
             held_mode = entry.holders.get(txn)
             if held_mode == EXCLUSIVE or held_mode == mode:
                 return True
@@ -202,7 +210,10 @@ class LockManager:
     def _grant(self, entry: _LockEntry, txn: object, resource: Hashable,
                mode: str) -> None:
         entry.holders[txn] = mode
-        self._held.setdefault(txn, set()).add(resource)
+        held = self._held.get(txn)
+        if held is None:
+            self._held[txn] = held = set()
+        held.add(resource)
         self.stats.acquisitions += 1
 
     def _blockers(self, entry: _LockEntry, txn: object, mode: str) -> set[object]:

@@ -27,9 +27,10 @@ aggregate usage) surface here at *prepare* time as
 ``sqlite3`` by the differential tests in ``tests/engine``.
 
 The module also hosts the generic :class:`LruCache` (statement cache)
-and :class:`PlanCache` (plans keyed by ``(sql, catalog_version)``,
-invalidated wholesale on DDL) with hit/miss/evict/invalidation
-counters surfaced through the monitoring stack.
+and :class:`PlanCache` (prepared statements keyed by ``(sql,
+catalog_version)``, invalidated wholesale on DDL) with
+hit/miss/evict/invalidation counters surfaced through the monitoring
+stack.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
-from ..errors import DataError, ProgrammingError
-from .catalog import Catalog, ColumnDef, IndexDef, TableSchema
+from ..errors import DataError, IntegrityError, ProgrammingError
+from .catalog import Catalog, ColumnDef, IndexDef, TableSchema, key_getter
 from .expr import (AGGREGATES, _SCALAR_FUNCS, _compare_bool, _kleene_and,
                    _stringify, apply_binary, apply_scalar_func, apply_unary,
                    like_match)
@@ -469,16 +470,6 @@ def _ranges(predicates: Sequence[ast.Expr], binding: str,
     return found
 
 
-def _index_defs(schema: TableSchema) -> list[IndexDef]:
-    """The index set TableData maintains: synthetic ``__pk__`` first."""
-    defs: list[IndexDef] = []
-    if schema.primary_key:
-        defs.append(IndexDef("__pk__", schema.name, schema.primary_key,
-                             unique=True))
-    defs.extend(schema.indexes.values())
-    return defs
-
-
 def _walk_direction(order: Sequence[tuple[str, bool]],
                     columns: Sequence[str], prefix: int) -> Optional[bool]:
     """``descending`` for a walk whose key order is ``order``, else None.
@@ -502,13 +493,6 @@ def _walk_direction(order: Sequence[tuple[str, bool]],
     return direction
 
 
-def _key_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    if len(positions) == 1:
-        position, = positions
-        return lambda values: (values[position],)
-    return operator.itemgetter(*positions)
-
-
 def _access_path(predicates: Sequence[ast.Expr], binding: str,
                  schema: TableSchema, prefix_scope: Scope,
                  order: Optional[Sequence[tuple[str, bool]]]
@@ -526,7 +510,7 @@ def _access_path(predicates: Sequence[ast.Expr], binding: str,
     ranges = _ranges(predicates, binding, schema, prefix_scope)
     probe: Optional[IndexDef] = None
     walk: Optional[tuple[tuple, IndexDef, int, Optional[bool]]] = None
-    for index in _index_defs(schema):
+    for index in schema.index_defs():
         columns = index.columns
         prefix = 0
         while prefix < len(columns) and columns[prefix] in equalities:
@@ -553,7 +537,7 @@ def _access_path(predicates: Sequence[ast.Expr], binding: str,
     if walk is None:
         return None, None
     _rank, index, prefix, direction = walk
-    positions = [schema.position(c) for c in index.columns]
+    positions = schema.positions(index.columns)
     lower, upper = ranges.get(index.columns[prefix], ([], []))
     return None, IndexWalk(
         index_name=index.name,
@@ -561,7 +545,7 @@ def _access_path(predicates: Sequence[ast.Expr], binding: str,
         lower=tuple(lower), upper=tuple(upper),
         checks=tuple(_bound_check(schema.columns[p])
                      for p in positions[:prefix + 1]),
-        key_of=_key_getter(positions),
+        key_of=key_getter(positions),
         descending=bool(direction), pushdown=direction is not None)
 
 
@@ -704,13 +688,47 @@ class ColumnFinalizer:
 
 
 @dataclass(frozen=True)
+class RowFinalizer:
+    """Turns a full list of column values into a storable row.
+
+    Coerces every column, enforces NOT NULL, and rejects a NULL in the
+    primary key.  INSERT plans and :meth:`Database.bulk_insert` share it,
+    so a row enters storage through one finalization path.
+    """
+
+    table: str
+    columns: tuple[ColumnFinalizer, ...]
+    pk_key: Optional[Callable[[tuple], tuple]]
+
+    def __call__(self, values: list) -> tuple:
+        for final in self.columns:
+            value = final.coerce(values[final.position])
+            if value is None and final.not_null:
+                raise IntegrityError(
+                    f"column {final.name!r} of {self.table!r} is NOT NULL")
+            values[final.position] = value
+        row = tuple(values)
+        if self.pk_key is not None and None in self.pk_key(row):
+            raise IntegrityError(f"NULL in primary key of {self.table!r}")
+        return row
+
+
+def row_finalizer(schema: TableSchema) -> RowFinalizer:
+    return RowFinalizer(
+        table=schema.name,
+        columns=tuple(_column_finalizer(i, column)
+                      for i, column in enumerate(schema.columns)),
+        pk_key=schema.pk_key if schema.primary_key else None)
+
+
+@dataclass(frozen=True)
 class CompiledInsert:
     table: str
     schema: TableSchema
     positions: tuple[int, ...]
     row_fns: tuple[tuple[ExprFn, ...], ...]
     defaults: tuple[tuple[int, object], ...]
-    finalizers: tuple[ColumnFinalizer, ...]
+    finalize: RowFinalizer
 
 
 @dataclass(frozen=True)
@@ -1031,7 +1049,7 @@ def _column_finalizer(position: int, column: ColumnDef) -> ColumnFinalizer:
 def _compile_insert(stmt: ast.Insert, catalog: Catalog) -> CompiledInsert:
     schema = catalog.get(stmt.table)
     columns = stmt.columns or schema.column_names
-    positions = tuple(schema.position(c) for c in columns)
+    positions = schema.positions(columns)
     scope = Scope([])
     row_fns = []
     for row_exprs in stmt.rows:
@@ -1045,11 +1063,10 @@ def _compile_insert(stmt: ast.Insert, catalog: Catalog) -> CompiledInsert:
     defaults = tuple(
         (i, column.default) for i, column in enumerate(schema.columns)
         if i not in provided and column.has_default)
-    finalizers = tuple(_column_finalizer(i, column)
-                       for i, column in enumerate(schema.columns))
     return CompiledInsert(
         table=stmt.table, schema=schema, positions=positions,
-        row_fns=tuple(row_fns), defaults=defaults, finalizers=finalizers)
+        row_fns=tuple(row_fns), defaults=defaults,
+        finalize=row_finalizer(schema))
 
 
 def _compile_write_source(table: str, schema: TableSchema,
@@ -1071,7 +1088,7 @@ def _compile_update(stmt: ast.Update, catalog: Catalog) -> CompiledUpdate:
                                             schema.position(a.column)]),
             value_fn=compile_expr(a.value, scope))
         for a in stmt.assignments)
-    indexed = {c for index in _index_defs(schema) for c in index.columns}
+    indexed = {c for index in schema.index_defs() for c in index.columns}
     return CompiledUpdate(
         table=stmt.table, schema=schema, source=source,
         assignments=assignments,
@@ -1144,7 +1161,8 @@ class LruCache:
 
 
 class PlanCache(LruCache):
-    """Compiled plans keyed by ``(sql, catalog_version)``.
+    """Prepared statements (SQL, AST and compiled plan) keyed by
+    ``(sql, catalog_version)``.
 
     The version key already makes stale plans unreachable after DDL;
     ``invalidate_all`` additionally drops them eagerly so the cache
@@ -1154,6 +1172,24 @@ class PlanCache(LruCache):
     def __init__(self, capacity: int = 256) -> None:
         super().__init__(capacity)
         self.invalidations = 0
+
+    def get(self, key: Hashable) -> object:
+        """The entry under ``key``, counted as a hit; None when absent.
+
+        An absent key is not counted: the caller counts the miss with
+        :meth:`count_miss` once it knows the statement has a plan (DDL
+        and transaction control have none and are never cached).
+        """
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return value
+
+    def count_miss(self) -> None:
+        with self._lock:
+            self.misses += 1
 
     def invalidate_all(self) -> int:
         with self._lock:

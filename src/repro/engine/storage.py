@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import (AbstractSet, Callable, Iterable, Iterator, NamedTuple,
+                    Optional)
 
 from ..errors import IntegrityError
-from .catalog import IndexDef, TableSchema
+from .catalog import IndexDef, TableSchema, key_getter
 
 #: Snapshot timestamp meaning "read the latest committed version".
 READ_LATEST = float("inf")
@@ -38,8 +38,7 @@ READ_LATEST = float("inf")
 _EMPTY: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class Version:
+class Version(NamedTuple):
     """One committed version of a row; ``values is None`` is a tombstone."""
 
     begin_ts: float
@@ -211,14 +210,12 @@ class TableData:
         # the reserved name "__pk__" when the table declares one.
         self._indexes: dict[str, dict[tuple, set[int]]] = {}
         self._index_defs: dict[str, IndexDef] = {}
+        # index name -> row values -> key tuple.
+        self._key_of: dict[str, Callable[[tuple], tuple]] = {}
         # index name -> key order, built on first use by an ordered walk.
         self._ordered: dict[str, OrderedIndex] = {}
         self._multiversion_rows: set[int] = set()
-        if schema.primary_key:
-            self._index_defs["__pk__"] = IndexDef(
-                "__pk__", schema.name, schema.primary_key, unique=True)
-            self._indexes["__pk__"] = {}
-        for index in schema.indexes.values():
+        for index in schema.index_defs():
             self.add_index(index)
 
     # -- index management --------------------------------------------------
@@ -227,20 +224,18 @@ class TableData:
         """Register a new index and backfill it from retained versions."""
         self._index_defs[index.name] = index
         entries: dict[tuple, set[int]] = {}
-        positions = tuple(self.schema.position(c) for c in index.columns)
+        key_of = key_getter(self.schema.positions(index.columns))
         for rowid, chain in self._versions.items():
             for version in chain:
                 if version.values is not None:
-                    key = tuple(version.values[p] for p in positions)
-                    entries.setdefault(key, set()).add(rowid)
+                    entries.setdefault(key_of(version.values),
+                                       set()).add(rowid)
         self._indexes[index.name] = entries
+        self._key_of[index.name] = key_of
         self._ordered.pop(index.name, None)
 
     def index_defs(self) -> list[IndexDef]:
         return list(self._index_defs.values())
-
-    def _index_key(self, index: IndexDef, values: tuple) -> tuple:
-        return tuple(values[self.schema.position(c)] for c in index.columns)
 
     # -- reads ---------------------------------------------------------------
 
@@ -261,12 +256,16 @@ class TableData:
     def all_rowids(self) -> Iterator[int]:
         return iter(list(self._versions.keys()))
 
-    def index_lookup(self, index_name: str, key: tuple) -> set[int]:
-        """Candidate rowids for an equality key (conservative superset)."""
+    def index_lookup(self, index_name: str, key: tuple) -> AbstractSet[int]:
+        """Candidate rowids for an equality key (conservative superset).
+
+        This is the index's live bucket, not a copy: callers read it only
+        while they hold the database latch and never mutate it.
+        """
         entries = self._indexes.get(index_name)
         if entries is None:
-            return set()
-        return set(entries.get(key, ()))
+            return _EMPTY
+        return entries.get(key, _EMPTY)
 
     def ordered_index(self, index_name: str) -> OrderedIndex:
         """The key order of ``index_name``, built on first request.
@@ -278,10 +277,6 @@ class TableData:
             ordered = OrderedIndex(self._indexes[index_name])
             self._ordered[index_name] = ordered
         return ordered
-
-    def index_bucket(self, index_name: str, key: tuple) -> AbstractSet[int]:
-        """The live rowid set under ``key``; callers must not mutate it."""
-        return self._indexes[index_name].get(key, _EMPTY)
 
     def walk_candidates(self, index_name: str, prefix: tuple, low: tuple,
                         high: tuple) -> set[int]:
@@ -318,10 +313,11 @@ class TableData:
 
     def pk_lookup_latest(self, key: tuple) -> Optional[int]:
         """Rowid whose *latest committed* version is live with this PK."""
+        pk_key = self.schema.pk_key
         for rowid in self.index_lookup("__pk__", key):
             version = self.latest_version(rowid)
-            if (version is not None and not version.is_tombstone
-                    and self.schema.pk_key(version.values) == key):
+            if (version is not None and version.values is not None
+                    and pk_key(version.values) == key):
                 return rowid
         return None
 
@@ -359,14 +355,16 @@ class TableData:
         chain.append(version)
         if len(chain) > 1:
             self._multiversion_rows.add(rowid)
-        if version.values is not None:
-            for index in self._index_defs.values():
-                key = self._index_key(index, version.values)
-                entries = self._indexes[index.name]
+        values = version.values
+        if values is not None:
+            indexes = self._indexes
+            for name, key_of in self._key_of.items():
+                key = key_of(values)
+                entries = indexes[name]
                 bucket = entries.get(key)
                 if bucket is None:
                     entries[key] = bucket = set()
-                    ordered = self._ordered.get(index.name)
+                    ordered = self._ordered.get(name)
                     if ordered is not None:
                         ordered.add(key)
                 bucket.add(rowid)
@@ -409,16 +407,13 @@ class TableData:
 
     def _clean_index_entries(self, rowid: int, removed: list[Version],
                              kept: list[Version]) -> None:
-        for index in self._index_defs.values():
-            kept_keys = {
-                self._index_key(index, v.values)
-                for v in kept if v.values is not None
-            }
-            entries = self._indexes[index.name]
+        for name, key_of in self._key_of.items():
+            kept_keys = {key_of(v.values) for v in kept if v.values is not None}
+            entries = self._indexes[name]
             for version in removed:
                 if version.values is None:
                     continue
-                key = self._index_key(index, version.values)
+                key = key_of(version.values)
                 if key in kept_keys:
                     continue
                 bucket = entries.get(key)
@@ -426,7 +421,7 @@ class TableData:
                     bucket.discard(rowid)
                     if not bucket:
                         del entries[key]
-                        ordered = self._ordered.get(index.name)
+                        ordered = self._ordered.get(name)
                         if ordered is not None:
                             ordered.remove(key)
 

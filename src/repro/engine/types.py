@@ -8,8 +8,8 @@ affinity behave like a conventional DBMS) and for metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from ..errors import DataError
 
@@ -36,10 +36,21 @@ _TYPE_AFFINITY = {
 
 @dataclass(frozen=True)
 class SqlType:
-    """A declared column type: name plus optional length/precision args."""
+    """A declared column type: name plus optional length/precision args.
+
+    ``coerce(value)`` converts an input value to this type's affinity.
+    It is a closure built once per type, with the affinity and length
+    already resolved; ``None`` (NULL) passes through, and a value that
+    cannot be represented raises :class:`DataError`.
+    """
 
     name: str
     args: tuple[int, ...] = ()
+    coerce: Callable[[object], object] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coerce", _coercer(self))
 
     @property
     def affinity(self) -> str:
@@ -55,35 +66,46 @@ class SqlType:
             return self.args[0]
         return None
 
-    def coerce(self, value: object) -> object:
-        """Coerce an input ``value`` to this type's affinity.
-
-        ``None`` passes through (NULL).  Raises :class:`DataError` when the
-        value cannot be represented.
-        """
-        if value is None:
-            return None
-        affinity = self.affinity
-        if affinity == INTEGER:
-            return _coerce_int(value, self.name)
-        if affinity == FLOAT:
-            return _coerce_float(value, self.name)
-        if affinity == BOOLEAN:
-            return _coerce_bool(value, self.name)
-        if affinity == TIMESTAMP:
-            return _coerce_timestamp(value, self.name)
-        # TEXT: stringify and enforce declared length by truncation,
-        # mirroring the permissive behaviour of MySQL in non-strict mode.
-        text = value if isinstance(value, str) else str(value)
-        limit = self.max_length
-        if limit is not None and len(text) > limit:
-            return text[:limit]
-        return text
-
     def render(self) -> str:
         if self.args:
             return f"{self.name}({','.join(str(a) for a in self.args)})"
         return self.name
+
+
+def _coercer(sql_type: SqlType) -> Callable[[object], object]:
+    """``sql_type``'s coercion: a ``type(v) is ...`` check for the value
+    the affinity stores, then the general ``_coerce_*`` helper.
+
+    An unknown type name fails when a value is coerced, not here.
+    """
+    name = sql_type.name
+    affinity = _TYPE_AFFINITY.get(name)
+    if affinity is None:
+        def coerce_unknown(value: object) -> object:
+            if value is None:
+                return None
+            raise DataError(f"unknown SQL type: {name!r}")
+        return coerce_unknown
+    if affinity == TEXT:
+        limit = sql_type.args[0] if sql_type.args else None
+
+        # Declared lengths truncate, mirroring the permissive behaviour
+        # of MySQL in non-strict mode.
+        def coerce_text(value: object) -> object:
+            if value is None:
+                return None
+            text = value if isinstance(value, str) else str(value)
+            if limit is not None and len(text) > limit:
+                return text[:limit]
+            return text
+        return coerce_text
+    stored, general = _STORED[affinity]
+
+    def coerce(value: object) -> object:
+        if value is None or type(value) is stored:
+            return value
+        return general(value, name)
+    return coerce
 
 
 def _coerce_int(value: object, type_name: str) -> int:
@@ -146,6 +168,15 @@ def _coerce_timestamp(value: object, type_name: str) -> float:
                 f"timestamp strings must be numeric seconds, got {value!r}"
             ) from None
     raise DataError(f"cannot store {type(value).__name__} in {type_name}")
+
+
+#: affinity -> (the Python type it stores, the general coercion).
+_STORED: dict[str, tuple[type, Callable[[object, str], object]]] = {
+    INTEGER: (int, _coerce_int),
+    FLOAT: (float, _coerce_float),
+    BOOLEAN: (bool, _coerce_bool),
+    TIMESTAMP: (float, _coerce_timestamp),
+}
 
 
 def compare_values(a: object, b: object) -> Optional[int]:

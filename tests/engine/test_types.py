@@ -1,9 +1,12 @@
 """Type coercion and SQL comparison semantics."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.engine.types import SqlType, compare_values
+from repro.engine.types import _TYPE_AFFINITY, SqlType, compare_values
 from repro.errors import DataError
+
+from .coerce_reference import reference_coerce
 
 
 def test_integer_affinity_coercion():
@@ -106,3 +109,53 @@ def test_compare_mixed_non_numeric_string():
 def test_bool_compares_as_int():
     assert compare_values(True, 1) == 0
     assert compare_values(False, 1) == -1
+
+
+# -- compiled coercers against the per-call reference --------------------------
+
+_TYPE_NAMES = sorted(_TYPE_AFFINITY) + ["fancytype"]
+
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3),
+    st.sampled_from(["0", "1", "-7", "2.5", "1e3", "nan", "true", "F",
+                     "yes", "no", "maybe", "", " 12 ", "abc"]),
+    st.integers().map(str),
+    st.floats(allow_nan=False).map(repr),
+    st.text(max_size=12),
+)
+
+
+def _outcome(coerce, value):
+    try:
+        result = coerce(value)
+    except DataError as exc:
+        return ("error", str(exc))
+    if isinstance(result, float) and result != result:
+        return ("value", float, "nan")  # NaN is never equal to itself
+    return ("value", type(result), result)
+
+
+@given(name=st.sampled_from(_TYPE_NAMES),
+       length=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+       value=_VALUES)
+def test_compiled_coercer_matches_the_reference(name, length, value):
+    args = () if length is None else (length,)
+    expected = _outcome(lambda v: reference_coerce(name, args, v), value)
+    assert _outcome(SqlType(name, args).coerce, value) == expected
+
+
+def test_unknown_type_fails_only_when_a_value_is_coerced():
+    sql_type = SqlType("fancytype", (3,))  # constructing it is fine
+    assert sql_type.coerce(None) is None
+    with pytest.raises(DataError, match="unknown SQL type: 'fancytype'"):
+        sql_type.coerce("x")
+
+
+def test_varchar_truncates_non_strings_after_stringifying():
+    assert SqlType("varchar", (3,)).coerce(123456) == "123"
+    assert SqlType("varchar", (0,)).coerce("abc") == ""
+    assert SqlType("char", (2,)).coerce(True) == "Tr"

@@ -105,7 +105,7 @@ DDL = [
         PRIMARY KEY (o_w_id, o_d_id, o_id)
     )
     """,
-    "CREATE INDEX idx_oorder_customer ON oorder (o_w_id, o_d_id, o_c_id)",
+    "CREATE INDEX idx_oorder_customer ON oorder (o_w_id, o_d_id, o_c_id, o_id)",
     """
     CREATE TABLE order_line (
         ol_o_id        INT NOT NULL,

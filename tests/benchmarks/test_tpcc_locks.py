@@ -1,9 +1,10 @@
 """TPC-C lock and read footprints: what the ordered index walks buy.
 
 A real DBMS answers Delivery's ``ORDER BY no_o_id LIMIT 1 FOR UPDATE``
-by locking one ``new_order`` row per district, and StockLevel's
+by locking one ``new_order`` row per district, OrderStatus's newest
+order of a customer by reading one ``oorder`` row, and StockLevel's
 ``ol_o_id`` range by reading only the last 20 orders' lines.  These
-tests pin both footprints, independent of how large the tables grow,
+tests pin those footprints, independent of how large the tables grow,
 and check that concurrent Deliveries on one warehouse's districts still
 deliver every order once.
 """
@@ -23,6 +24,10 @@ from repro.errors import DeadlockError, LockTimeoutError
 DELIVERY_SELECT = (
     "SELECT no_o_id FROM new_order WHERE no_w_id = ? AND no_d_id = ? "
     "ORDER BY no_o_id ASC LIMIT 1 FOR UPDATE")
+ORDER_STATUS_SELECT = (
+    "SELECT o_id, o_carrier_id, o_entry_d FROM oorder "
+    "WHERE o_w_id = ? AND o_d_id = ? AND o_c_id = ? "
+    "ORDER BY o_id DESC LIMIT 1")
 STOCK_LEVEL_JOIN = (
     "SELECT COUNT(DISTINCT ol.ol_i_id) "
     "FROM order_line ol JOIN stock s "
@@ -83,6 +88,32 @@ def test_delivery_select_locks_one_new_order_row_per_district():
                                     "WHERE no_w_id = 1 AND no_d_id = ?",
                                 (d_id,))
     conn.commit()
+    conn.close()
+
+
+@pytest.mark.parametrize("extra_orders", [0, 60])
+def test_order_status_reads_one_order_of_the_customer(extra_orders):
+    bench = make_tpcc()
+    db = bench.database
+    run(bench, "NewOrder", 60, seed=5)
+    conn = connect(db)
+    cur = conn.cursor()
+    # Give customer 7 of district 2 many more orders than the loader did.
+    for o_id in range(1000, 1000 + extra_orders):
+        cur.execute("INSERT INTO oorder VALUES (?, 2, 1, 7, 0, NULL, 5, 1)",
+                    (o_id,))
+    conn.commit()
+    orders = scalar(db, "SELECT COUNT(*) FROM oorder WHERE o_w_id = 1 "
+                        "AND o_d_id = 2 AND o_c_id = 7")
+    assert orders >= 1 + extra_orders
+    cur.execute(ORDER_STATUS_SELECT, (1, 2, 7))
+    newest = cur.fetchone()[0]
+    conn.commit()
+    assert newest == scalar(db, "SELECT MAX(o_id) FROM oorder WHERE "
+                                "o_w_id = 1 AND o_d_id = 2 AND o_c_id = 7")
+    stats = conn.last_txn_stats
+    assert stats.full_scans == 0
+    assert stats.rows_examined == 1
     conn.close()
 
 

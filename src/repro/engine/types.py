@@ -87,7 +87,7 @@ def _coercer(sql_type: SqlType) -> Callable[[object], object]:
             raise DataError(f"unknown SQL type: {name!r}")
         return coerce_unknown
     if affinity == TEXT:
-        limit = sql_type.args[0] if sql_type.args else None
+        limit = sql_type.max_length
 
         # Declared lengths truncate, mirroring the permissive behaviour
         # of MySQL in non-strict mode.

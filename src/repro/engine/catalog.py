@@ -16,11 +16,11 @@ def key_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
     Built once per table or plan, so no per-row code looks a column up
     by name.
     """
+    if not positions:  # a table without a primary key
+        return lambda values: ()
     if len(positions) == 1:
         position, = positions
         return lambda values: (values[position],)
-    if not positions:
-        return lambda values: ()
     return operator.itemgetter(*positions)
 
 

@@ -8,7 +8,6 @@ server plays for OLTP-Bench's JDBC workers.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -57,7 +56,7 @@ class PreparedStatement:
     ``executemany`` call so even the cache lookup is paid once.
     """
 
-    __slots__ = ("sql", "stmt", "plan", "is_ddl")
+    __slots__ = ("sql", "stmt", "plan", "is_ddl", "is_control")
 
     def __init__(self, sql: str, stmt: ast.Statement, plan: object) -> None:
         self.sql = sql
@@ -65,6 +64,7 @@ class PreparedStatement:
         self.plan = plan
         self.is_ddl = isinstance(
             stmt, (ast.CreateTable, ast.CreateIndex, ast.DropTable))
+        self.is_control = isinstance(stmt, ast.TransactionControl)
 
 
 class Database:
@@ -81,6 +81,8 @@ class Database:
         # never consult the wall clock.
         self.lock_manager = LockManager(timeout=lock_timeout, clock=clock)
         self.txn_manager = TransactionManager()
+        #: The storage latch (the transaction manager's).
+        self.latch = self.txn_manager.latch
         self.counters = EngineCounters()
         self._tables: dict[str, TableData] = {}
         self._executor = Executor(self)
@@ -88,10 +90,6 @@ class Database:
         self.plan_cache = PlanCache(plan_cache_size)
 
     # -- storage access ----------------------------------------------------
-
-    @property
-    def latch(self) -> threading.RLock:
-        return self.txn_manager.latch
 
     def table_data(self, name: str) -> TableData:
         try:
@@ -150,7 +148,7 @@ class Database:
         self.counters.statements += 1
         if prepared.is_ddl:
             return self._execute_ddl(prepared.stmt)
-        if isinstance(prepared.stmt, ast.TransactionControl):
+        if prepared.is_control:
             raise ProgrammingError(
                 "use the connection's commit()/rollback() methods")
         if txn is None or not txn.active:

@@ -164,7 +164,7 @@ class Cursor:
         self.connection = connection
         self._rows: list[tuple] = []
         self._pos = 0
-        self.description: Optional[list[tuple]] = None
+        self._columns: list[str] = []
         self.rowcount = -1
         self._closed = False
 
@@ -207,13 +207,15 @@ class Cursor:
         self._rows = result.rows
         self._pos = 0
         self.rowcount = result.rowcount
-        if result.columns:
-            self.description = [
-                (name, None, None, None, None, None, None)
-                for name in result.columns
-            ]
-        else:
-            self.description = None
+        self._columns = result.columns
+
+    @property
+    def description(self) -> Optional[list[tuple]]:
+        """One 7-tuple per result column; None when there are none."""
+        if not self._columns:
+            return None
+        return [(name, None, None, None, None, None, None)
+                for name in self._columns]
 
     # -- fetching -----------------------------------------------------------
 

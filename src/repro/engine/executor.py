@@ -5,15 +5,22 @@ plan; there is one execution path per statement kind:
 
 * each FROM-clause source gathers candidate rowids through the access
   path the planner chose (equality-index probe, ordered index walk, or
-  full scan) and filters them with the compiled predicate closure;
+  full scan) and filters them with the compiled predicate closure; a
+  probe checks a candidate's key against the probe key instead of
+  re-running the conjuncts the key covers, and any other candidate
+  (a stale index entry, the transaction's own row) takes the full filter;
 * a walk that delivers a single-source SELECT's ORDER BY … LIMIT k
   OFFSET m reads rows in key order and stops after k + m qualifying
   rows, so it locks only those (and rows that failed to qualify);
-* joins are nested loops over source slots, so an inner source's index
-  probe can key on the outer rows already bound;
+* a one-table SELECT is one scan; joins are nested loops over source
+  slots, so an inner source's index probe can key on the outer rows
+  already bound;
 * strict-2PL transactions acquire shared locks on qualifying rows
-  (exclusive for ``FOR UPDATE`` and DML); snapshot transactions read
-  without locks;
+  (exclusive for ``FOR UPDATE`` and DML) and re-read a locked row only
+  if a commit landed since the candidates were read; snapshot
+  transactions read without locks;
+* an INSERT locks its primary key, never its new rowid, which no other
+  transaction can reach before commit;
 * aggregation/grouping, DISTINCT, ORDER BY, and LIMIT/OFFSET are applied
   to the materialised row set.
 
@@ -54,20 +61,21 @@ class Executor:
 
     def __init__(self, db: "Database") -> None:
         self.db = db
+        self._runners = {
+            CompiledSelect: self._select_plan,
+            CompiledInsert: self._insert_plan,
+            CompiledUpdate: self._update_plan,
+            CompiledDelete: self._delete_plan,
+        }
 
     def execute(self, txn: Transaction, plan,
                 params: Sequence[object]) -> Result:
         """Run a :mod:`repro.engine.plan` compiled plan."""
-        if isinstance(plan, CompiledSelect):
-            return self._select_plan(txn, plan, params)
-        if isinstance(plan, CompiledInsert):
-            return self._insert_plan(txn, plan, params)
-        if isinstance(plan, CompiledUpdate):
-            return self._update_plan(txn, plan, params)
-        if isinstance(plan, CompiledDelete):
-            return self._delete_plan(txn, plan, params)
-        raise ProgrammingError(
-            f"executor cannot handle plan {type(plan).__name__}")
+        runner = self._runners.get(type(plan))
+        if runner is None:
+            raise ProgrammingError(
+                f"executor cannot handle plan {type(plan).__name__}")
+        return runner(txn, plan, params)
 
     def _select_plan(self, txn: Transaction, plan: CompiledSelect,
                      params: Sequence[object]) -> Result:
@@ -76,14 +84,13 @@ class Executor:
             if plan.where_fn is None or plan.where_fn((), params):
                 out = _apply_plan_limit([plan.project_fn((), params)], plan,
                                         params)
-            return Result(out, list(plan.columns), rowcount=len(out))
+            return Result(out, plan.columns, rowcount=len(out))
         lock_mode = EXCLUSIVE if plan.for_update else SHARED
         take_locks = (txn.isolation == SERIALIZABLE
                       or lock_mode == EXCLUSIVE)
         sources = plan.sources
         n_sources = len(sources)
         rows: list[Optional[tuple]] = [None] * n_sources
-        contexts: list[tuple] = []
 
         plan_scan = self._plan_scan
         stop_after = None
@@ -91,27 +98,36 @@ class Executor:
         if first_walk is not None and first_walk.pushdown:
             stop_after = _limit_stop(plan, params)
 
-        def recurse(level: int) -> None:
-            if level == n_sources:
-                contexts.append(tuple(rows))
-                return
-            source = sources[level]
-            slot = source.slot
-            post = source.post_filter
-            matched = plan_scan(txn, source, rows, params, lock_mode,
-                                take_locks, count_db_reads=True,
-                                stop_after=stop_after)
-            for _rowid, values in matched:
-                rows[slot] = values
-                if post is None or post(rows, params):
-                    recurse(level + 1)
-            if source.join_kind == "left" and not matched:
-                rows[slot] = None
-                if post is None or post(rows, params):
-                    recurse(level + 1)
-            rows[slot] = None
+        if n_sources == 1:
+            # One table needs no join driver: the first source is
+            # always an inner one, so it has no post filter either.
+            contexts = [(values,) for _rowid, values in plan_scan(
+                txn, sources[0], rows, params, lock_mode, take_locks,
+                count_db_reads=True, stop_after=stop_after)]
+        else:
+            contexts = []
 
-        recurse(0)
+            def recurse(level: int) -> None:
+                if level == n_sources:
+                    contexts.append(tuple(rows))
+                    return
+                source = sources[level]
+                slot = source.slot
+                post = source.post_filter
+                matched = plan_scan(txn, source, rows, params, lock_mode,
+                                    take_locks, count_db_reads=True,
+                                    stop_after=stop_after)
+                for _rowid, values in matched:
+                    rows[slot] = values
+                    if post is None or post(rows, params):
+                        recurse(level + 1)
+                if source.join_kind == "left" and not matched:
+                    rows[slot] = None
+                    if post is None or post(rows, params):
+                        recurse(level + 1)
+                rows[slot] = None
+
+            recurse(0)
 
         if plan.aggregation is not None:
             contexts = _group_contexts(plan.aggregation, contexts, params,
@@ -128,7 +144,7 @@ class Executor:
         if plan.distinct:
             out = _distinct(out)
         out = _apply_plan_limit(out, plan, params)
-        return Result(out, list(plan.columns), rowcount=len(out))
+        return Result(out, plan.columns, rowcount=len(out))
 
     def _plan_scan(self, txn: Transaction, source: CompiledSource,
                    rows: list, params: Sequence[object], lock_mode: str,
@@ -138,15 +154,18 @@ class Executor:
         """Scan one source: batched visibility read, closure filtering.
 
         Candidate gathering and all visibility checks happen under a
-        single latch acquisition; each qualifying row is re-read after
-        its lock is granted, so 2PL sees the authoritative version.
-        Locks are never acquired while holding the latch.  With
+        single latch acquisition, which also notes the commit sequence.
+        A row locked after that is re-read only if a commit has landed
+        since: a conflicting writer keeps its lock until its commit is
+        applied, so otherwise the version read is still current.  Locks
+        are never acquired while holding the latch.  With
         ``stop_after``, a pushed-down walk may return just the first
         that many qualifying rows in key order.
         """
         table = source.table
-        data = self.db.table_data(table)
-        counters = self.db.counters
+        db = self.db
+        data = db.table_data(table)
+        counters = db.counters
         if stop_after is not None and source.walk is not None:
             walked = self._ordered_scan(txn, source, source.walk, rows,
                                         params, lock_mode, take_locks,
@@ -156,12 +175,13 @@ class Executor:
                     counters.rows_read += len(walked)
                 return walked
         slot = source.slot
-        row_filter = source.filter
-        latch = self.db.latch
+        latch = db.latch
+        txns = db.txn_manager
         effective = txn.effective_version
         with latch:
-            candidates = self._plan_candidates(txn, source, rows, params,
-                                               data)
+            candidates, key = self._plan_candidates(txn, source, rows,
+                                                    params, data)
+            read_at = txns.last_commit_ts
             unindexed = txn.unindexed.get(table)
             if unindexed:
                 # A new set: the candidates may be a live index bucket.
@@ -173,31 +193,44 @@ class Executor:
                 version = effective(table, data, rowid)
                 if version is not None and not version.is_tombstone:
                     append((rowid, version.values))
-        acquire = self.db.lock_manager.acquire
+        full = source.filter
+        if key is None:
+            key_of = residual = None
+        else:
+            key_of = source.index_probe.key_of
+            residual = source.residual
+        acquire = db.lock_manager.acquire
         stats = txn.stats
         out: list[tuple[int, tuple]] = []
         emit = out.append
         for rowid, values in visible:
+            # A version with the probe key meets the conjuncts the key
+            # covers; any other candidate takes the full filter.
+            row_filter = (residual if key_of is not None
+                          and key_of(values) == key else full)
             if row_filter is not None:
                 rows[slot] = values
                 if not row_filter(rows, params):
                     continue
             if take_locks:
                 acquire(txn, ("row", table, rowid), lock_mode)
-                # Re-read after a potential wait: the row may have changed.
-                with latch:
-                    version = effective(table, data, rowid)
-                if version is None or version.is_tombstone:
-                    continue
-                # Only re-filter when the wait actually replaced the
-                # version: same tuple object means the predicate's
-                # inputs are unchanged, so its verdict is too.
-                if version.values is not values:
-                    values = version.values
-                    if row_filter is not None:
-                        rows[slot] = values
-                        if not row_filter(rows, params):
-                            continue
+                if txns.last_commit_ts != read_at:
+                    # A commit landed since the read: the row may have
+                    # changed, so read it again.
+                    with latch:
+                        version = effective(table, data, rowid)
+                    if version is None or version.is_tombstone:
+                        continue
+                    # Same tuple object means the predicate's inputs are
+                    # unchanged, so its verdict is too.
+                    if version.values is not values:
+                        values = version.values
+                        row_filter = (residual if key_of is not None
+                                      and key_of(values) == key else full)
+                        if row_filter is not None:
+                            rows[slot] = values
+                            if not row_filter(rows, params):
+                                continue
             stats.rows_read += 1
             emit((rowid, values))
         if count_db_reads:
@@ -205,9 +238,16 @@ class Executor:
         return out
 
     def _plan_candidates(self, txn: Transaction, source: CompiledSource,
-                         rows: list, params: Sequence[object],
-                         data) -> AbstractSet[int]:
+                         rows: list, params: Sequence[object], data
+                         ) -> tuple[AbstractSet[int], Optional[tuple]]:
         """Access-path cascade: index probe, ordered walk, full scan.
+
+        Returns the candidate rowids and, when they came from an index
+        probe, its key; the caller then checks candidates against that
+        key instead of the conjuncts it covers.  A key holding a NULL is
+        not returned: Python finds ``None == None`` where SQL ``=`` is
+        never true, so those candidates take the full filter, which
+        drops them all.
 
         The caller holds the storage latch; key closures are pure, so
         evaluating them under it is safe (and no locks are taken here).
@@ -220,19 +260,20 @@ class Executor:
                 key = probe.key_fn(rows, params)
             except ProgrammingError:
                 # An unevaluable probe key falls through to the next
-                # access path.
+                # access path, and the full filter reports the error.
                 key = None
             if key is not None:
                 txn.stats.index_lookups += 1
-                return data.index_lookup(probe.index_name, key)
+                bucket = data.index_lookup(probe.index_name, key)
+                return bucket, (None if None in key else key)
         walk = source.walk
         if walk is not None:
             bounds = walk.bounds(rows, params)
             if bounds is not None:
                 txn.stats.index_lookups += 1
-                return data.walk_candidates(walk.index_name, *bounds)
+                return data.walk_candidates(walk.index_name, *bounds), None
         txn.stats.full_scans += 1
-        return set(data.all_rowids())
+        return set(data.all_rowids()), None
 
     def _ordered_scan(self, txn: Transaction, source: CompiledSource,
                       walk: IndexWalk, rows: list, params: Sequence[object],
@@ -250,8 +291,9 @@ class Executor:
         under a key only if its visible version has that key, so stale
         index entries are skipped and no row is seen twice.  Under 2PL a
         row is locked only after it passed the filter, and re-read after
-        the grant: a row deleted meanwhile is skipped, and a row whose
-        key moved sends the walk back to the key it was found under.
+        the grant if a commit landed since its batch was read: a row
+        deleted meanwhile is skipped, and a row whose key moved sends the
+        walk back to the key it was found under.
         """
         bounds = walk.bounds(rows, params)
         table = source.table
@@ -260,6 +302,7 @@ class Executor:
         prefix, low, high = bounds
         name = walk.index_name
         latch = self.db.latch
+        txns = self.db.txn_manager
         with latch:
             ordered = data.ordered_index(name)
             width = len(prefix)
@@ -280,6 +323,7 @@ class Executor:
             with latch:
                 keys = ordered.keys.between(low, high, descending,
                                             batch_keys)
+                read_at = txns.last_commit_ts
                 batch = []
                 for key in keys:
                     bucket = data.index_lookup(name, key)
@@ -300,19 +344,20 @@ class Executor:
                         continue
                 if take_locks:
                     acquire(txn, ("row", table, rowid), lock_mode)
-                    with latch:
-                        version = effective(table, data, rowid)
-                    if version is None or version.is_tombstone:
-                        continue
-                    if version.values is not values:
-                        values = version.values
-                        if key_of(values) != key:
-                            resume = key
-                            break
-                        if row_filter is not None:
-                            rows[slot] = values
-                            if not row_filter(rows, params):
-                                continue
+                    if txns.last_commit_ts != read_at:
+                        with latch:
+                            version = effective(table, data, rowid)
+                        if version is None or version.is_tombstone:
+                            continue
+                        if version.values is not values:
+                            values = version.values
+                            if key_of(values) != key:
+                                resume = key
+                                break
+                            if row_filter is not None:
+                                rows[slot] = values
+                                if not row_filter(rows, params):
+                                    continue
                 stats.rows_read += 1
                 out.append((rowid, values))
                 emitted.add(rowid)
@@ -335,8 +380,15 @@ class Executor:
 
     def _insert_plan(self, txn: Transaction, plan: CompiledInsert,
                      params: Sequence[object]) -> Result:
+        """Buffer new rows, locking only their primary keys.
+
+        A new rowid is in no index and no other transaction's reach
+        until commit, so it takes no lock of its own; the key lock is
+        what keeps a concurrent insert of the same key out.
+        """
         schema = plan.schema
-        data = self.db.table_data(plan.table)
+        table = plan.table
+        data = self.db.table_data(table)
         n_columns = len(schema.columns)
         inserted = 0
         for row_fns in plan.row_fns:
@@ -350,16 +402,15 @@ class Executor:
                 key = schema.pk_key(row)
                 if txn.isolation == SERIALIZABLE:
                     self.db.lock_manager.acquire(
-                        txn, ("key", plan.table, key), EXCLUSIVE)
-                if self._visible_pk_exists(txn, plan.table, data, key):
+                        txn, ("key", table, key), EXCLUSIVE)
+                rowid = self._new_rowid_for_key(txn, table, data, key)
+                if rowid is None:
                     raise IntegrityError(
-                        f"duplicate primary key {key!r} in {plan.table!r}")
-            with self.db.latch:
-                rowid = data.new_rowid()
-            if txn.isolation == SERIALIZABLE:
-                self.db.lock_manager.acquire(
-                    txn, ("row", plan.table, rowid), EXCLUSIVE)
-            txn.buffer_insert(plan.table, rowid, row)
+                        f"duplicate primary key {key!r} in {table!r}")
+            else:
+                with self.db.latch:
+                    rowid = data.new_rowid()
+            txn.buffer_insert(table, rowid, row)
             self.db.counters.rows_inserted += 1
             inserted += 1
         return Result(rowcount=inserted)
@@ -388,15 +439,17 @@ class Executor:
                         "is NOT NULL")
                 new_values[final.position] = value
             new_row = tuple(new_values)
-            if schema.primary_key:
+            if plan.rekeys and schema.primary_key:
                 old_key = schema.pk_key(old_values)
                 new_key = schema.pk_key(new_row)
                 if new_key != old_key:
                     if txn.isolation == SERIALIZABLE:
                         self.db.lock_manager.acquire(
                             txn, ("key", plan.table, new_key), EXCLUSIVE)
-                    if self._visible_pk_exists(txn, plan.table, data,
-                                               new_key):
+                    with self.db.latch:
+                        taken = self._visible_pk_exists(txn, plan.table,
+                                                        data, new_key)
+                    if taken:
                         raise IntegrityError(
                             f"duplicate primary key {new_key!r} "
                             f"in {plan.table!r}")
@@ -420,17 +473,29 @@ class Executor:
 
     def _visible_pk_exists(self, txn: Transaction, table: str,
                            data, key: tuple) -> bool:
+        """Whether ``txn`` sees a live row with primary key ``key``.
+
+        The caller holds the storage latch.
+        """
         pk_key = data.schema.pk_key
         effective = txn.effective_version
-        with self.db.latch:
-            for rowids in (data.index_lookup("__pk__", key),
-                           txn.unindexed.get(table, ())):
-                for rowid in rowids:
-                    version = effective(table, data, rowid)
-                    if (version is not None and version.values is not None
-                            and pk_key(version.values) == key):
-                        return True
+        for rowids in (data.index_lookup("__pk__", key),
+                       txn.unindexed.get(table, ())):
+            for rowid in rowids:
+                version = effective(table, data, rowid)
+                if (version is not None and version.values is not None
+                        and pk_key(version.values) == key):
+                    return True
         return False
+
+    def _new_rowid_for_key(self, txn: Transaction, table: str, data,
+                           key: tuple) -> Optional[int]:
+        """A fresh rowid for a row with primary key ``key``, or None when
+        ``txn`` already sees a live row with that key; one latch hold."""
+        with self.db.latch:
+            if self._visible_pk_exists(txn, table, data, key):
+                return None
+            return data.new_rowid()
 
 class _SortKey:
     """Orderable wrapper handling NULLs (sorted last) and DESC."""

@@ -91,8 +91,11 @@ class LockManager:
         the transaction already held a sufficient lock.  Raises
         :class:`DeadlockError` when the wait would close a cycle and
         :class:`LockTimeoutError` on timeout.
+
+        Enters ``_mutex`` directly, the lock ``_condition`` waits on,
+        rather than through the condition's Python-level ``__enter__``.
         """
-        with self._condition:
+        with self._mutex:
             self._txn_thread[txn] = threading.get_ident()
             entry = self._entries.get(resource)
             if entry is None:
@@ -160,7 +163,7 @@ class LockManager:
 
     def release_all(self, txn: object) -> None:
         """Release every lock held by ``txn`` (strict 2PL release point)."""
-        with self._condition:
+        with self._mutex:
             for resource in self._held.pop(txn, set()):
                 entry = self._entries.get(resource)
                 if entry is None:

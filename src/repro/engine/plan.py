@@ -285,10 +285,20 @@ def _compile_conjunction(predicates: Sequence[ast.Expr],
 
 @dataclass(frozen=True)
 class IndexProbe:
-    """Equality probe: evaluate the fused key closure, look up the index."""
+    """Equality probe: evaluate the fused key closure, look up the index.
+
+    ``covers`` are the ``column = value`` conjuncts the key was built
+    from.  A candidate whose visible version has exactly the probe key
+    satisfies all of them, so the source's ``residual`` filter leaves
+    them out; any other candidate (a stale index entry, a row of the
+    transaction's own) still goes through the full filter.
+    """
 
     index_name: str
     key_fn: ExprFn  # (rows, params) -> key tuple
+    #: Row values -> this index's key tuple.
+    key_of: Callable[[tuple], tuple]
+    covers: tuple[ast.Expr, ...]
 
 
 #: A range bound on a walked column: ``(value closure, strict)``.
@@ -416,9 +426,10 @@ def _operand(expr: ast.Expr, binding: str, schema: TableSchema,
 
 def _equalities(predicates: Sequence[ast.Expr], binding: str,
                 schema: TableSchema, prefix_scope: Scope
-                ) -> dict[str, ExprFn]:
-    """``column -> value closure`` for each ``column = value`` conjunct."""
-    found: dict[str, ExprFn] = {}
+                ) -> dict[str, tuple[ExprFn, ast.Expr]]:
+    """``column -> (value closure, conjunct)`` for each ``column = value``
+    conjunct; the first one wins when a column has several."""
+    found: dict[str, tuple[ExprFn, ast.Expr]] = {}
     for predicate in predicates:
         if not (isinstance(predicate, ast.BinaryOp) and predicate.op == "="):
             continue
@@ -429,7 +440,7 @@ def _equalities(predicates: Sequence[ast.Expr], binding: str,
                 continue
             fn = _operand(other, binding, schema, prefix_scope)
             if fn is not None:
-                found[column] = fn
+                found[column] = (fn, predicate)
                 break
     return found
 
@@ -532,8 +543,11 @@ def _access_path(predicates: Sequence[ast.Expr], binding: str,
             walk = (rank, index, prefix, direction)
     if probe is not None and (probe.unique or walk is None
                               or len(probe.columns) >= walk[0][0]):
-        return IndexProbe(probe.name, tuple_fn(
-            [equalities[c] for c in probe.columns])), None
+        return IndexProbe(
+            probe.name,
+            key_fn=tuple_fn([equalities[c][0] for c in probe.columns]),
+            key_of=key_getter(schema.positions(probe.columns)),
+            covers=tuple(equalities[c][1] for c in probe.columns)), None
     if walk is None:
         return None, None
     _rank, index, prefix, direction = walk
@@ -541,7 +555,7 @@ def _access_path(predicates: Sequence[ast.Expr], binding: str,
     lower, upper = ranges.get(index.columns[prefix], ([], []))
     return None, IndexWalk(
         index_name=index.name,
-        prefix_fns=tuple(equalities[c] for c in index.columns[:prefix]),
+        prefix_fns=tuple(equalities[c][0] for c in index.columns[:prefix]),
         lower=tuple(lower), upper=tuple(upper),
         checks=tuple(_bound_check(schema.columns[p])
                      for p in positions[:prefix + 1]),
@@ -565,10 +579,14 @@ class CompiledSource:
     join_kind: str
     index_probe: Optional[IndexProbe]
     walk: Optional[IndexWalk]
-    #: Residual filter over (rows, params) -> bool; None accepts all.
-    #: Always re-checks every predicate — index candidates are
-    #: conservative supersets.
+    #: Full filter over (rows, params) -> bool; None accepts all.  It
+    #: re-checks every predicate — index candidates are conservative
+    #: supersets.
     filter: Optional[ExprFn]
+    #: The filter without the conjuncts ``index_probe`` covers, for a
+    #: candidate whose visible version has the probe key; None accepts
+    #: all.  Unused without a probe.
+    residual: Optional[ExprFn] = None
     #: LEFT JOIN only: WHERE conjuncts on this source, checked after a
     #: row is matched or NULL-extended; None accepts all.
     post_filter: Optional[ExprFn] = None
@@ -899,10 +917,17 @@ def _compile_source(slot: int, binding: str, schema: TableSchema,
                     ) -> CompiledSource:
     index_probe, walk = _access_path(predicates, binding, schema,
                                      prefix_scope, order)
+    residual = None
+    if index_probe is not None:
+        covers = index_probe.covers
+        residual = _compile_conjunction(
+            [p for p in predicates if not any(p is c for c in covers)],
+            full_scope)
     return CompiledSource(
         slot=slot, binding=binding, table=table_name, schema=schema,
         join_kind=join_kind, index_probe=index_probe, walk=walk,
         filter=_compile_conjunction(predicates, full_scope),
+        residual=residual,
         post_filter=_compile_conjunction(post, full_scope))
 
 

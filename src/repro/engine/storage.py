@@ -29,7 +29,6 @@ from bisect import bisect_left, insort
 from typing import (AbstractSet, Callable, Iterable, Iterator, NamedTuple,
                     Optional)
 
-from ..errors import IntegrityError
 from .catalog import IndexDef, TableSchema, key_getter
 
 #: Snapshot timestamp meaning "read the latest committed version".
@@ -336,12 +335,7 @@ class TableData:
         return next(self._rowid_counter)
 
     def apply_insert(self, rowid: int, values: tuple, commit_ts: float) -> None:
-        if self.schema.primary_key:
-            key = self.schema.pk_key(values)
-            existing = self.pk_lookup_latest(key)
-            if existing is not None and existing != rowid:
-                raise IntegrityError(
-                    f"duplicate primary key {key!r} in {self.schema.name!r}")
+        """Add a new row; the committer has checked its primary key."""
         self._append_version(rowid, Version(commit_ts, values))
 
     def apply_update(self, rowid: int, values: tuple, commit_ts: float) -> None:

@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import ProgrammingError, SerializationError
+from ..errors import IntegrityError, ProgrammingError, SerializationError
 from .storage import READ_LATEST, TableData, Version
 
 SERIALIZABLE = "serializable"
@@ -131,21 +131,22 @@ class TransactionManager:
     PRUNE_INTERVAL = 256
 
     def __init__(self) -> None:
-        self._latch = threading.RLock()
+        #: The structural latch guarding storage and this manager.
+        self.latch = threading.RLock()
         self._commit_counter = itertools.count(1)
-        self._last_commit_ts = 0.0
+        #: Timestamp of the newest commit, set under the latch before that
+        #: commit applies any write.  It doubles as the commit sequence:
+        #: a reader that sees it unchanged since a read under the latch
+        #: knows no committed version has changed in between.
+        self.last_commit_ts = 0.0
         self._active_snapshots: dict[int, float] = {}
         self._commits_since_prune = 0
         self.committed = 0
         self.aborted = 0
 
-    @property
-    def latch(self) -> threading.RLock:
-        return self._latch
-
     def begin(self, isolation: str) -> Transaction:
-        with self._latch:
-            snapshot_ts = (self._last_commit_ts if isolation == SNAPSHOT
+        with self.latch:
+            snapshot_ts = (self.last_commit_ts if isolation == SNAPSHOT
                            else READ_LATEST)
             txn = Transaction(isolation, snapshot_ts)
             if isolation == SNAPSHOT:
@@ -157,15 +158,20 @@ class TransactionManager:
         """Validate and apply ``txn``'s workspace; returns the commit ts.
 
         Raises :class:`SerializationError` for snapshot-isolation conflicts
-        (the workspace is left intact so the caller can roll back cleanly).
+        and :class:`IntegrityError` for a primary key another transaction
+        committed first.  Both are found before the first write is applied
+        and before the commit sequence moves, so a failed commit changes
+        nothing and the caller can roll back cleanly.
         """
-        with self._latch:
+        with self.latch:
             if not txn.active:
                 raise ProgrammingError("transaction is not active")
             if txn.isolation == SNAPSHOT:
                 self._validate_snapshot(txn, tables)
+            else:
+                self._check_insert_keys(txn, tables)
             commit_ts = float(next(self._commit_counter))
-            self._last_commit_ts = commit_ts
+            self.last_commit_ts = commit_ts
             for (table_name, rowid), op in txn.workspace.items():
                 data = tables[table_name]
                 if op.kind == INSERT:
@@ -183,7 +189,7 @@ class TransactionManager:
             return commit_ts
 
     def rollback(self, txn: Transaction) -> None:
-        with self._latch:
+        with self.latch:
             if txn.active:
                 txn.workspace.clear()
                 txn.unindexed.clear()
@@ -214,8 +220,36 @@ class TransactionManager:
                 raise SerializationError(
                     f"write-write conflict on {table_name!r} row {rowid}")
 
+    def _check_insert_keys(self, txn: Transaction,
+                           tables: dict[str, TableData]) -> None:
+        """No insert may take a primary key live in the latest committed
+        state, unless this transaction deletes or rekeys that row first.
+
+        The executor checked each key against the transaction's own view,
+        but a snapshot writer or a bulk load takes no key lock and may
+        have committed the key since.  (Snapshot transactions get the
+        same check from :meth:`_validate_snapshot`.)
+        """
+        workspace = txn.workspace
+        for (table_name, rowid), op in workspace.items():
+            if op.kind != INSERT:
+                continue
+            schema = tables[table_name].schema
+            if not schema.primary_key:
+                continue
+            key = schema.pk_key(op.values)
+            existing = tables[table_name].pk_lookup_latest(key)
+            if existing is None or existing == rowid:
+                continue
+            own = workspace.get((table_name, existing))
+            if own is not None and (own.values is None
+                                    or schema.pk_key(own.values) != key):
+                continue
+            raise IntegrityError(
+                f"duplicate primary key {key!r} in {table_name!r}")
+
     def min_active_snapshot(self) -> float:
-        with self._latch:
+        with self.latch:
             if not self._active_snapshots:
                 return READ_LATEST
             return min(self._active_snapshots.values())

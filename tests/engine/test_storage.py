@@ -7,7 +7,6 @@ from repro.engine.catalog import ColumnDef, IndexDef, TableSchema
 from repro.engine.storage import (READ_LATEST, TOP, SortedKeys, TableData,
                                   Version, orderable)
 from repro.engine.types import SqlType
-from repro.errors import IntegrityError
 
 
 def make_table(with_secondary=True):
@@ -48,13 +47,6 @@ def test_tombstone_hides_row():
     data.apply_delete(rowid, commit_ts=2.0)
     assert data.visible_version(rowid, READ_LATEST).is_tombstone
     assert data.visible_version(rowid, 1.5).values == (1, 10, "a")
-
-
-def test_duplicate_pk_insert_rejected():
-    data = make_table()
-    data.apply_insert(data.new_rowid(), (1, 10, "a"), commit_ts=1.0)
-    with pytest.raises(IntegrityError):
-        data.apply_insert(data.new_rowid(), (1, 20, "b"), commit_ts=2.0)
 
 
 def test_pk_reusable_after_delete():

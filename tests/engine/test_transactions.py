@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.engine import Database, SERIALIZABLE, connect
+from repro.engine import Database, SERIALIZABLE, SNAPSHOT, connect
 from repro.errors import (DeadlockError, IntegrityError, OperationalError,
                           ProgrammingError, TransactionAborted)
 
@@ -204,3 +204,62 @@ def test_database_stats_counts_commits_and_aborts(bank):
     stats = bank.stats()
     assert stats["committed"] >= 2  # fixture commit + this one
     assert stats["aborted"] >= 1
+
+
+def test_commit_rejects_a_committed_duplicate_key():
+    """The commit-time key check, on the transaction manager itself."""
+    db = Database()
+    conn = connect(db)
+    execute(conn, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    data = db.table_data("t")
+    manager = db.txn_manager
+    first = manager.begin(SERIALIZABLE)
+    first.buffer_insert("t", data.new_rowid(), (1, 10))
+    manager.commit(first, {"t": data})
+    second = manager.begin(SERIALIZABLE)
+    second.buffer_insert("t", data.new_rowid(), (1, 20))
+    with pytest.raises(IntegrityError, match=r"duplicate primary key \(1,\)"):
+        manager.commit(second, {"t": data})
+    manager.rollback(second)
+    assert data.count_live() == 1
+    conn.close()
+
+
+def test_failed_commit_applies_none_of_its_writes(db):
+    """A key another transaction committed first fails the whole commit:
+    no earlier write of the workspace is left applied."""
+    setup = connect(db)
+    execute(setup, "CREATE TABLE a (id INT PRIMARY KEY)")
+    execute(setup, "CREATE TABLE t (id INT PRIMARY KEY)")
+    setup.close()
+    t1 = connect(db)  # serializable
+    t2 = connect(db, isolation=SNAPSHOT)
+    execute(t1, "INSERT INTO a VALUES (1)")
+    execute(t1, "INSERT INTO t VALUES (7)")
+    # A snapshot writer takes no key lock, so it commits the key first.
+    execute(t2, "INSERT INTO t VALUES (7)")
+    t2.commit()
+    sequence = db.txn_manager.last_commit_ts
+    with pytest.raises(IntegrityError, match="duplicate primary key"):
+        t1.commit()
+    assert db.txn_manager.last_commit_ts == sequence
+    assert db.row_count("a") == 0
+    assert db.row_count("t") == 1
+    assert db.lock_manager.active_lock_count() == 0
+    # The table is still writable, and the key t1 wanted is still taken.
+    execute(t1, "INSERT INTO a VALUES (1)")
+    t1.commit()
+    assert db.row_count("a") == 1
+    t1.close()
+    t2.close()
+
+
+def test_commit_allows_a_key_its_own_delete_frees(bank):
+    conn = connect(bank)
+    execute(conn, "DELETE FROM acct WHERE id = 1")
+    execute(conn, "INSERT INTO acct VALUES (1, 7)")
+    execute(conn, "UPDATE acct SET id = 3 WHERE id = 2")
+    execute(conn, "INSERT INTO acct VALUES (2, 8)")
+    conn.commit()
+    assert balances(bank) == {1: 7, 2: 8, 3: 100}
+    conn.close()

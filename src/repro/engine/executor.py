@@ -384,7 +384,8 @@ class Executor:
 
         A new rowid is in no index and no other transaction's reach
         until commit, so it takes no lock of its own; the key lock is
-        what keeps a concurrent insert of the same key out.
+        what keeps a concurrent insert of the same key out.  The
+        duplicate-key check and the rowid share one latch hold.
         """
         schema = plan.schema
         table = plan.table
@@ -398,18 +399,18 @@ class Executor:
             for position, default in plan.defaults:
                 values[position] = default
             row = plan.finalize(values)
+            key = None
             if schema.primary_key:
                 key = schema.pk_key(row)
                 if txn.isolation == SERIALIZABLE:
                     self.db.lock_manager.acquire(
                         txn, ("key", table, key), EXCLUSIVE)
-                rowid = self._new_rowid_for_key(txn, table, data, key)
-                if rowid is None:
+            with self.db.latch:
+                if key is not None and self._visible_pk_exists(
+                        txn, table, data, key):
                     raise IntegrityError(
                         f"duplicate primary key {key!r} in {table!r}")
-            else:
-                with self.db.latch:
-                    rowid = data.new_rowid()
+                rowid = data.new_rowid()
             txn.buffer_insert(table, rowid, row)
             self.db.counters.rows_inserted += 1
             inserted += 1
@@ -487,15 +488,6 @@ class Executor:
                         and pk_key(version.values) == key):
                     return True
         return False
-
-    def _new_rowid_for_key(self, txn: Transaction, table: str, data,
-                           key: tuple) -> Optional[int]:
-        """A fresh rowid for a row with primary key ``key``, or None when
-        ``txn`` already sees a live row with that key; one latch hold."""
-        with self.db.latch:
-            if self._visible_pk_exists(txn, table, data, key):
-                return None
-            return data.new_rowid()
 
 class _SortKey:
     """Orderable wrapper handling NULLs (sorted last) and DESC."""

@@ -12,10 +12,9 @@ Three pieces:
 * :class:`ControlApi` — the in-process facade over registered
   WorkloadManagers; the game drives this directly in simulated runs;
 * :class:`ApiServer` — an HTTP/JSON server exposing the facade under the
-  versioned ``/v1`` surface (legacy unversioned routes remain as
-  deprecated aliases);
+  versioned ``/v1`` surface (any other path is a 404);
 * :class:`WorkloadHost` — workload lifecycle (create/start/stop/delete)
-  over HTTP, v1 only;
+  over HTTP;
 * :class:`ApiClient` — a Python client with the same method surface,
   speaking v1 with timeouts and connection-failure retries.
 """

@@ -41,13 +41,11 @@ def _window_query(window: Optional[float]) -> str:
 
 
 def _message_from(data: object, status: int) -> str:
-    """Extract the error message from a v1 envelope (or legacy shape)."""
+    """Extract the error message from a v1 envelope."""
     if isinstance(data, dict):
         error = data.get("error")
-        if isinstance(error, dict):  # v1 envelope
+        if isinstance(error, dict):
             return str(error.get("message", f"HTTP {status}"))
-        if error is not None:  # legacy {"ok": false, "error": "..."}
-            return str(error)
     return f"HTTP {status}"
 
 

@@ -33,13 +33,7 @@ v1 errors use a uniform envelope::
 
 with codes ``bad_request`` (400), ``not_found`` (404),
 ``method_not_allowed`` (405, plus an ``Allow`` header), ``conflict``
-(409), and ``internal`` (500).
-
-The original unversioned routes remain as deprecated aliases: same
-behaviour and same legacy error shape (``{"ok": false, "error": "..."}``)
-so existing callers keep working, but every response carries a
-``Deprecation: true`` header.  Lifecycle, faults, and resilience routes
-are v1-only — they never existed unversioned.
+(409), and ``internal`` (500).  A path outside ``/v1`` is a 404.
 """
 
 from __future__ import annotations
@@ -55,14 +49,14 @@ from ..errors import (ApiConflict, ApiError, ApiMethodNotAllowed,
 from .control import ControlApi
 from .lifecycle import WorkloadHost
 
-#: POST actions under /workloads/<tenant>/<action> (legacy and v1).
+#: POST actions under /v1/workloads/<tenant>/<action>.
 _POST_ACTIONS = ("rate", "weights", "preset", "think_time", "pause",
                  "resume")
-#: GET views under /workloads/<tenant>/<view> (legacy and v1).
+#: GET views under /v1/workloads/<tenant>/<view>.
 _GET_VIEWS = ("status", "metrics", "presets")
-#: Lifecycle actions under /v1/workloads/<tenant>/<action> (v1 only).
+#: Lifecycle actions under /v1/workloads/<tenant>/<action>.
 _LIFECYCLE_ACTIONS = ("start", "stop")
-#: GET+PUT resources under /v1/workloads/<tenant>/<resource> (v1 only).
+#: GET+PUT resources under /v1/workloads/<tenant>/<resource>.
 _PUT_RESOURCES = ("faults", "resilience")
 
 
@@ -117,17 +111,13 @@ def _make_handler(control: ControlApi, host: WorkloadHost):
         # -- helpers --------------------------------------------------
 
         def _send(self, code: int, payload: object,
-                  allow: tuple[str, ...] = (),
-                  deprecated: bool = False) -> None:
+                  allow: tuple[str, ...] = ()) -> None:
             body = json.dumps(payload).encode()
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             if allow:
                 self.send_header("Allow", ", ".join(allow))
-            if deprecated:
-                self.send_header("Deprecation", "true")
-                self.send_header("Link", '</v1>; rel="successor-version"')
             self.end_headers()
             self.wfile.write(body)
 
@@ -151,23 +141,18 @@ def _make_handler(control: ControlApi, host: WorkloadHost):
                 raise ApiError("window must be positive")
             return window
 
-        def _error(self, exc: Exception, code: int, symbol: str,
-                   v1: bool) -> object:
-            """The error payload: v1 envelope or the legacy shape."""
-            if v1:
-                return {"error": {"code": symbol, "message": str(exc)}}
-            return {"ok": False, "error": str(exc)}
+        def _error(self, code: int, symbol: str, exc: Exception,
+                   allow: tuple[str, ...] = ()) -> None:
+            self._send(code, {"error": {"code": symbol,
+                                        "message": str(exc)}}, allow=allow)
 
         def _route(self, method: str) -> None:
             split = urlsplit(self.path)
             parts = [p for p in split.path.split("/") if p]
-            v1 = bool(parts) and parts[0] == "v1"
-            if v1:
-                parts = parts[1:]
-            deprecated = not v1
             query = parse_qs(split.query)
             try:
-                handlers = self._match(parts, query, v1)
+                handlers = (self._match(parts[1:], query)
+                            if parts[:1] == ["v1"] else {})
                 if not handlers:
                     raise ApiNotFound(f"unknown path {split.path!r}")
                 handler = handlers.get(method)
@@ -177,32 +162,25 @@ def _make_handler(control: ControlApi, host: WorkloadHost):
                         allowed=tuple(sorted(handlers)))
                 payload = handler()
             except ApiMethodNotAllowed as exc:
-                self._send(405,
-                           self._error(exc, 405, "method_not_allowed", v1),
-                           allow=exc.allowed, deprecated=deprecated)
+                self._error(405, "method_not_allowed", exc,
+                            allow=exc.allowed)
             except ApiNotFound as exc:
-                self._send(404, self._error(exc, 404, "not_found", v1),
-                           deprecated=deprecated)
+                self._error(404, "not_found", exc)
             except ApiConflict as exc:
-                self._send(409, self._error(exc, 409, "conflict", v1),
-                           deprecated=deprecated)
+                self._error(409, "conflict", exc)
             except ApiError as exc:
-                self._send(400, self._error(exc, 400, "bad_request", v1),
-                           deprecated=deprecated)
+                self._error(400, "bad_request", exc)
             except Exception as exc:  # pragma: no cover - defensive
-                self._send(500, self._error(exc, 500, "internal", v1),
-                           deprecated=deprecated)
+                self._error(500, "internal", exc)
             else:
-                self._send(200, payload, deprecated=deprecated)
+                self._send(200, payload)
 
-        def _match(self, parts: list[str], query: dict, v1: bool
+        def _match(self, parts: list[str], query: dict
                    ) -> dict[str, Callable[[], object]]:
-            """Map the path to its {method: handler} table.
+            """Map the path below ``/v1`` to its {method: handler} table.
 
             An empty table means the path does not exist (404); a known
             path queried with a method missing from its table is a 405.
-            Lifecycle, faults, and resilience routes only exist when
-            ``v1`` is set.
             """
             if parts == ["benchmarks"]:
                 return {"GET": control.benchmarks}
@@ -213,10 +191,10 @@ def _make_handler(control: ControlApi, host: WorkloadHost):
                     window=self._window(query))}
             if parts == ["tenants"]:
                 return {"GET": control.tenants}
-            if v1 and parts == ["workloads"]:
+            if parts == ["workloads"]:
                 return {"GET": host.list,
                         "POST": lambda: host.create(self._read_body())}
-            if v1 and len(parts) == 2 and parts[0] == "workloads":
+            if len(parts) == 2 and parts[0] == "workloads":
                 tenant = parts[1]
                 return {"GET": lambda: control.status(tenant),
                         "DELETE": lambda: host.delete(tenant)}
@@ -233,14 +211,14 @@ def _make_handler(control: ControlApi, host: WorkloadHost):
                 if action in _POST_ACTIONS:
                     return {"POST": lambda: self._post_action(
                         tenant, action)}
-                if v1 and action in _LIFECYCLE_ACTIONS:
+                if action in _LIFECYCLE_ACTIONS:
                     verb = host.start if action == "start" else host.stop
                     return {"POST": lambda: verb(tenant)}
-                if v1 and action == "faults":
+                if action == "faults":
                     return {"GET": lambda: control.get_faults(tenant),
                             "PUT": lambda: control.set_faults(
                                 tenant, self._read_body())}
-                if v1 and action == "resilience":
+                if action == "resilience":
                     return {"GET": lambda: control.get_resilience(tenant),
                             "PUT": lambda: control.set_resilience(
                                 tenant, self._read_body())}

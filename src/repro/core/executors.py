@@ -1,32 +1,36 @@
 """Execution substrates: real threads vs. discrete-event simulation.
 
 Both executors drive the *same* WorkloadManager, request queue, and
-benchmark transaction code against the *same* SQL engine; they differ only
-in how time passes:
+benchmark transaction code against the *same* SQL engine, and every
+request on either takes the same path: the circuit breaker admits it,
+:func:`_execute` samples its transaction type, builds the procedure, runs
+it through :func:`~repro.core.resilience.run_with_resilience` and builds
+its :class:`~repro.core.results.LatencySample`.  The substrates differ
+only in how time passes:
 
 * :class:`ThreadedExecutor` — OLTP-Bench's architecture verbatim: a pacing
   thread feeds the queue each second, worker threads pull requests, execute
   them over DB-API connections, and sleep think times.  Real lock
-  contention, real blocking.  Subject to GIL scheduling noise, so it backs
-  the live demo and integration tests.
+  contention, real blocking, and a latency that is the wall-clock time the
+  attempt loop took.  Subject to GIL scheduling noise, so it backs the live
+  demo and integration tests.
+  :class:`~repro.core.procexec.ProcessExecutor` runs one of these per child
+  process, so it takes the same path.
 * :class:`SimulatedExecutor` — a deterministic event loop over a
   :class:`~repro.clock.SimClock`.  Transactions execute against the real
   engine at dispatch time (real rows, real SQL); their *duration* in
   virtual time is sampled from a :class:`DbmsPersonality` given the
-  transaction's read/write footprint and the server-wide load (a shared
-  :class:`LoadTracker` makes tenants interfere).  This is the substrate for
-  rate-control-precision experiments: exact, fast, reproducible.
-
-Both share a sever-wide load tracker so multi-tenant workloads contend for
-the same simulated capacity.
+  transaction's read/write footprint and the server-wide load (one
+  :class:`LoadTracker` per executor makes tenants interfere).  This is the
+  substrate for rate-control-precision experiments: exact, fast,
+  reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
-from typing import Optional
+from typing import Callable, Optional
 
 from ..clock import Clock, RealClock, SimClock, StoppableSleeper
 from ..engine.database import Database
@@ -37,10 +41,8 @@ from ..faults import FaultingConnection
 from ..rand import make_rng
 from .manager import STATE_CREATED, WorkloadManager
 from .requestqueue import Request
-from .resilience import _attempt, run_with_resilience
+from .resilience import ResilientOutcome, run_with_resilience
 from .results import DirectRecorder, LatencySample
-
-_TOKENS = itertools.count(1)
 
 #: Environment override for the default per-take batch limit.
 TAKE_BATCH_ENV = "REPRO_TAKE_BATCH"
@@ -65,14 +67,70 @@ def default_take_batch() -> int:
     return value
 
 
-def _resilient_connect(database: Database, isolation) -> FaultingConnection:
-    """Open a worker connection wrapped for fault injection.
+# ---------------------------------------------------------------------------
+# The per-request path both substrates share
+# ---------------------------------------------------------------------------
 
-    The wrapper is inert (passes every call straight through) until the
-    retry loop arms it with a fault plan, so fault-free runs behave
-    exactly as before.
+
+class _Worker:
+    """One worker's connection and random streams (plus simulator state:
+    ``busy`` and a per-worker ``extra_think``)."""
+
+    __slots__ = ("worker_id", "conn", "rng", "retry_rng", "busy",
+                 "extra_think")
+
+    def __init__(self, worker_id: int, conn: FaultingConnection, rng,
+                 retry_rng, extra_think: float = 0.0) -> None:
+        self.worker_id = worker_id
+        self.conn = conn
+        self.rng = rng
+        self.retry_rng = retry_rng
+        self.busy = False
+        self.extra_think = extra_think
+
+
+def _open_worker(database: Database, manager: WorkloadManager,
+                 worker_id: int, extra_think: float = 0.0) -> _Worker:
+    """Connect one worker and seed its transaction and retry streams.
+
+    The connection is wrapped for fault injection; the wrapper is inert
+    (passes every call straight through) until the retry loop arms it
+    with a fault plan.
     """
-    return FaultingConnection(connect(database, isolation=isolation))
+    config = manager.config
+    return _Worker(
+        worker_id,
+        FaultingConnection(connect(database, isolation=config.isolation)),
+        make_rng(config.seed, "worker", manager.tenant, worker_id),
+        make_rng(config.seed, "retry", manager.tenant, worker_id),
+        extra_think)
+
+
+#: ``latency(worker, outcome, started) -> seconds``: how a substrate turns
+#: a finished attempt loop into the sample's latency.
+LatencyModel = Callable[[_Worker, ResilientOutcome, float], float]
+
+
+def _execute(manager: WorkloadManager, worker: _Worker, request: Request,
+             clock: Clock, waiter: Optional[Callable[[float], None]],
+             latency: LatencyModel) -> LatencySample:
+    """Run one admitted request and return its sample (not yet recorded).
+
+    ``run_with_resilience`` is looked up in this module at call time, so
+    a tracer can wrap it by name.
+    """
+    txn_name = manager.sample_txn_name(worker.rng)
+    proc = manager.benchmark.make_procedure(txn_name)
+    started = clock.now()
+    outcome = run_with_resilience(
+        proc, txn_name, worker.conn, worker.rng, clock=clock,
+        resilience=manager.resilience, injector=manager.faults,
+        retry_rng=worker.retry_rng, waiter=waiter)
+    return LatencySample(
+        txn_name=txn_name, start=request.arrival_time,
+        queue_delay=max(0.0, started - request.arrival_time),
+        latency=latency(worker, outcome, started), status=outcome.status,
+        worker_id=worker.worker_id, tenant=manager.tenant)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +148,11 @@ class ThreadedExecutor:
     streaming metrics pipeline in epochs.  ``take_batch=1`` plus
     ``buffer_samples=False`` reproduces the seed driver's per-request,
     per-sample locking exactly (the baseline mode of
-    ``benchmarks/bench_queue_scaling.py``).
+    ``benchmarks/bench_queue_scaling.py``).  While the circuit breaker is
+    enabled a worker takes one request per admission.
     """
 
     def __init__(self, database: Database,
-                 personality: Optional[DbmsPersonality] = None,
                  clock: Optional[Clock] = None,
                  take_batch: Optional[int] = None,
                  buffer_samples: bool = True) -> None:
@@ -105,11 +163,9 @@ class ThreadedExecutor:
                 f"take_batch must be in [1, {_MAX_TAKE_BATCH}], "
                 f"got {take_batch}")
         self.database = database
-        self.personality = personality
         self.clock = clock or RealClock()
         self.take_batch = take_batch
         self.buffer_samples = buffer_samples
-        self.tracker = LoadTracker()
         self._workloads: list[tuple[WorkloadManager, int]] = []
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -201,11 +257,8 @@ class ThreadedExecutor:
     # -- workers ------------------------------------------------------------
 
     def _worker_loop(self, manager: WorkloadManager, worker_id: int) -> None:
-        conn = _resilient_connect(self.database, manager.config.isolation)
-        rng = make_rng(manager.config.seed, "worker", manager.tenant,
-                       worker_id)
-        retry_rng = make_rng(manager.config.seed, "retry", manager.tenant,
-                             worker_id)
+        worker = _open_worker(self.database, manager, worker_id)
+        breaker = manager.resilience.breaker
         sleeper = StoppableSleeper()
         # Worker-local sample recorder: per-sample appends, epoch flushes.
         # Flushed whenever the worker idles (empty queue, pause, breaker
@@ -229,105 +282,43 @@ class ThreadedExecutor:
                 if manager.closed_loop:
                     batch = [Request(self.clock.now(), 0)]
                 else:
-                    # Thinking workers take one request at a time (they
-                    # must sleep between transactions anyway); throughput
+                    # One admission covers one request while the breaker
+                    # is enabled (a disabled one admits every request).
+                    # Thinking workers take one at a time too (they must
+                    # sleep between transactions anyway); throughput
                     # workers amortize the lock/condvar round-trip over
                     # up to ``take_batch`` due requests.
-                    limit = 1 if think > 0 else self.take_batch
+                    limit = (1 if think > 0 or breaker.enabled
+                             else self.take_batch)
                     batch = manager.queue.take_batch(limit, timeout=0.2)
                     if not batch:
+                        breaker.release()
                         recorder.flush()
                         continue
-                # One bypass check per batch: with retries, timeouts,
-                # faults, and the breaker all off, every request is a
-                # single bare attempt, so skip the resilience loop's
-                # per-transaction locks and bulk-record the attempt
-                # count instead.  Reconfiguration (PUT /v1/retries,
-                # /v1/faults) takes effect at the next batch boundary.
-                fast = (self.personality is None
-                        and not manager.faults.armed
-                        and manager.resilience.bypass_eligible())
-                fast_attempts = 0
                 try:
                     for request in batch:
-                        if fast:
-                            self._execute_fast(manager, worker_id, conn,
-                                               rng, request, recorder)
-                            fast_attempts += 1
-                        else:
-                            self._execute(manager, worker_id, conn, rng,
-                                          retry_rng, request, recorder)
+                        recorder.add(_execute(
+                            manager, worker, request, self.clock,
+                            self._stop.wait, self._elapsed))
                 except Exception:
                     # Engine errors are converted to STATUS_ERROR samples
-                    # inside _execute; anything reaching here is a harness
-                    # bug.  A worker dying silently would skew delivered
-                    # throughput for the rest of the run, so stop the
-                    # workload before letting the excepthook report it.
+                    # inside the attempt loop; anything reaching here is a
+                    # harness bug.  A worker dying silently would skew
+                    # delivered throughput for the rest of the run, so
+                    # stop the workload before letting the excepthook
+                    # report it.
                     manager.stop()
                     raise
-                finally:
-                    if fast_attempts:
-                        manager.resilience.stats.record_attempts(
-                            fast_attempts)
                 if think > 0:
                     sleeper.sleep(think)
         finally:
             recorder.flush()
-            conn.close()
+            worker.conn.close()
 
-    def _execute_fast(self, manager: WorkloadManager, worker_id: int,
-                      conn, rng, request: Request, recorder) -> None:
-        """Single bare attempt; semantically ``_execute`` for the case the
-        caller already proved: no personality (tracker output unused), no
-        retries or timeouts, faults disarmed, breaker off.  Attempt counts
-        are bulk-recorded per batch by the worker loop."""
-        txn_name = manager.sample_txn_name(rng)
-        proc = manager.benchmark.make_procedure(txn_name)
-        started = self.clock.now()
-        status, _exc = _attempt(proc, conn, rng)
-        elapsed = self.clock.now() - started
-        recorder.add(LatencySample(
-            txn_name=txn_name, start=request.arrival_time,
-            queue_delay=max(0.0, started - request.arrival_time),
-            latency=elapsed, status=status,
-            worker_id=worker_id, tenant=manager.tenant))
-
-    def _execute(self, manager: WorkloadManager, worker_id: int, conn, rng,
-                 retry_rng, request: Request, recorder) -> None:
-        txn_name = manager.sample_txn_name(rng)
-        proc = manager.benchmark.make_procedure(txn_name)
-        started = self.clock.now()
-        queue_delay = max(0.0, started - request.arrival_time)
-        # The load tracker only feeds the personality's service-time
-        # model; skip its two lock round-trips when there is none.
-        track = self.personality is not None
-        if track:
-            token = next(_TOKENS)
-            self.tracker.started(token, not proc.read_only)
-        try:
-            outcome = run_with_resilience(
-                proc, txn_name, conn, rng, clock=self.clock,
-                resilience=manager.resilience, injector=manager.faults,
-                retry_rng=retry_rng, waiter=self._stop.wait)
-            status = outcome.status
-        finally:
-            if track:
-                self.tracker.finished(token)
-        elapsed = self.clock.now() - started
-        if self.personality is not None:
-            stats = conn.last_txn_stats
-            rows_read = stats.rows_read if stats else 0
-            writes = stats.write_footprint if stats else 0
-            target = self.personality.service_time(
-                rng, rows_read, writes,
-                max(1, self.tracker.active + 1), self.tracker.active_writers)
-            if elapsed < target:
-                self.clock.sleep(target - elapsed)
-                elapsed = self.clock.now() - started
-        recorder.add(LatencySample(
-            txn_name=txn_name, start=request.arrival_time,
-            queue_delay=queue_delay, latency=elapsed, status=status,
-            worker_id=worker_id, tenant=manager.tenant))
+    def _elapsed(self, worker: _Worker, outcome: ResilientOutcome,
+                 started: float) -> float:
+        """Threaded latency: the wall-clock time the attempt loop took."""
+        return self.clock.now() - started
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +326,9 @@ class ThreadedExecutor:
 # ---------------------------------------------------------------------------
 
 
-class _SimWorker:
-    __slots__ = ("worker_id", "conn", "rng", "retry_rng", "busy",
-                 "extra_think")
-
-    def __init__(self, worker_id: int, conn, rng, retry_rng,
-                 extra_think: float = 0.0) -> None:
-        self.worker_id = worker_id
-        self.conn = conn
-        self.rng = rng
-        self.retry_rng = retry_rng
-        self.busy = False
-        self.extra_think = extra_think
-
-
 class _SimWorkload:
     def __init__(self, manager: WorkloadManager,
-                 workers: list[_SimWorker]) -> None:
+                 workers: list[_Worker]) -> None:
         self.manager = manager
         self.workers = workers
         self.next_wake: Optional[float] = None
@@ -380,17 +357,10 @@ class SimulatedExecutor:
             raise ConfigurationError(
                 "manager must be constructed with the executor's SimClock")
         count = workers or manager.config.workers
-        sim_workers = []
-        for worker_id in range(count):
-            conn = _resilient_connect(self.database,
-                                      manager.config.isolation)
-            rng = make_rng(manager.config.seed, "worker", manager.tenant,
-                           worker_id)
-            retry_rng = make_rng(manager.config.seed, "retry",
-                                 manager.tenant, worker_id)
-            extra = worker_think(worker_id) if worker_think else 0.0
-            sim_workers.append(
-                _SimWorker(worker_id, conn, rng, retry_rng, extra))
+        sim_workers = [
+            _open_worker(self.database, manager, worker_id,
+                         worker_think(worker_id) if worker_think else 0.0)
+            for worker_id in range(count)]
         workload = _SimWorkload(manager, sim_workers)
         self._workloads.append(workload)
         manager.on_control_change = lambda: self._schedule_dispatch(workload)
@@ -436,21 +406,7 @@ class SimulatedExecutor:
         if not manager.running or manager.paused:
             return
         now = self.clock.now()
-        if not manager.breaker_allows():
-            # Breaker open: shed everything already due (counted as
-            # postponed) and come back when the cooldown admits a probe.
-            manager.shed_breaker_open()
-            retry_after = manager.resilience.breaker.retry_after(now)
-            if retry_after > 0:
-                self.clock.call_at(now + retry_after,
-                                   lambda: self._dispatch(workload))
-            return
-        if manager.closed_loop:
-            for worker in workload.workers:
-                if not worker.busy and \
-                        manager.worker_enabled(worker.worker_id):
-                    self._start(workload, worker, Request(now, 0))
-            return
+        closed_loop = manager.closed_loop
         while True:
             worker = next(
                 (w for w in workload.workers
@@ -458,8 +414,20 @@ class SimulatedExecutor:
                 None)
             if worker is None:
                 return
-            request = manager.queue.poll(now)
+            if not manager.breaker_allows():
+                # Breaker open: shed everything already due (counted as
+                # postponed) and come back when the cooldown admits a
+                # probe.
+                manager.shed_breaker_open()
+                retry_after = manager.resilience.breaker.retry_after(now)
+                if retry_after > 0:
+                    self.clock.call_at(now + retry_after,
+                                       lambda: self._dispatch(workload))
+                return
+            request = (Request(now, 0) if closed_loop
+                       else manager.queue.poll(now))
             if request is None:
+                manager.resilience.breaker.release()
                 arrival = manager.queue.next_arrival()
                 if arrival is not None and arrival > now:
                     if workload.next_wake is None or \
@@ -471,45 +439,39 @@ class SimulatedExecutor:
                 return
             self._start(workload, worker, request)
 
-    def _start(self, workload: _SimWorkload, worker: _SimWorker,
+    def _start(self, workload: _SimWorkload, worker: _Worker,
                request: Request) -> None:
-        manager = workload.manager
-        now = self.clock.now()
-        worker.busy = True
-        txn_name = manager.sample_txn_name(worker.rng)
-        proc = manager.benchmark.make_procedure(txn_name)
-        queue_delay = max(0.0, now - request.arrival_time)
         # Real SQL execution happens instantly at dispatch; the personality
         # decides how long it *takes* in virtual time.  Retries and
         # injected latency cannot sleep on a SimClock, so the loop runs
         # with waiter=None and its requested waits (backoff delays plus
         # latency spikes) are folded into the virtual service time.
-        outcome = run_with_resilience(
-            proc, txn_name, worker.conn, worker.rng, clock=self.clock,
-            resilience=manager.resilience, injector=manager.faults,
-            retry_rng=worker.retry_rng, waiter=None)
+        worker.busy = True
+        sample = _execute(workload.manager, worker, request, self.clock,
+                          None, self._service_time)
+        self.clock.call_later(sample.latency, lambda: self._complete(
+            workload, worker, sample))
+
+    def _service_time(self, worker: _Worker, outcome: ResilientOutcome,
+                      started: float) -> float:
+        """Virtual latency: the personality's service time for the
+        transaction's footprint under the current load, plus the waits
+        the attempt loop requested.  The transaction counts as in flight
+        (a tracker entry keyed by its worker) until :meth:`_complete`."""
         stats = worker.conn.last_txn_stats
         rows_read = stats.rows_read if stats else 0
         writes = stats.write_footprint if stats else 0
-        token = next(_TOKENS)
-        self.tracker.started(token, writes > 0)
+        self.tracker.started(worker, writes > 0)
         service = self.personality.service_time(
             worker.rng, rows_read, writes,
             self.tracker.active, self.tracker.active_writers)
-        service += outcome.waited
-        self.clock.call_later(service, lambda: self._complete(
-            workload, worker, token, txn_name, request.arrival_time,
-            queue_delay, service, outcome.status))
+        return service + outcome.waited
 
-    def _complete(self, workload: _SimWorkload, worker: _SimWorker,
-                  token: int, txn_name: str, arrival: float,
-                  queue_delay: float, service: float, status: str) -> None:
-        self.tracker.finished(token)
+    def _complete(self, workload: _SimWorkload, worker: _Worker,
+                  sample: LatencySample) -> None:
+        self.tracker.finished(worker)
         manager = workload.manager
-        manager.record(LatencySample(
-            txn_name=txn_name, start=arrival, queue_delay=queue_delay,
-            latency=service, status=status, worker_id=worker.worker_id,
-            tenant=manager.tenant))
+        manager.record(sample)
         think = manager.current_think_time() + worker.extra_think
         if think > 0:
             self.clock.call_later(
@@ -517,6 +479,6 @@ class SimulatedExecutor:
         else:
             self._free(workload, worker)
 
-    def _free(self, workload: _SimWorkload, worker: _SimWorker) -> None:
+    def _free(self, workload: _SimWorkload, worker: _Worker) -> None:
         worker.busy = False
         self._dispatch(workload)

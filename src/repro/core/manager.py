@@ -287,8 +287,9 @@ class WorkloadManager:
         return self.resilience.describe()
 
     def breaker_allows(self) -> bool:
-        """May a worker execute right now?  False while shedding load."""
-        return self.resilience.breaker.allow(self.clock.now())
+        """May a worker execute one request right now?  False while
+        shedding load.  Executors ask once per request."""
+        return self.resilience.breaker.allow()
 
     def shed_breaker_open(self) -> int:
         """Shed due requests while the breaker is open; they count as

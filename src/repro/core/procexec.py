@@ -6,7 +6,9 @@ driver-capacity rates the interpreter itself becomes the bottleneck the
 paper's Workload Manager is supposed to never be.  :class:`ProcessExecutor`
 escapes it: each tenant gets its own child process owning its own engine
 instance, benchmark dataset, sharded request queue, and (batched)
-ThreadedExecutor; the parent coordinates a ready/go barrier so data
+ThreadedExecutor, so each request takes the same per-request path
+(breaker admission, then ``executors._execute``) as on the in-process
+substrates; the parent coordinates a ready/go barrier so data
 loading never pollutes the measured window, and a per-tenant relay thread
 drains a pipe carrying periodic light stats plus the final sample set.
 

@@ -15,7 +15,10 @@ harness survive transient faults the way a production client would:
 * :class:`ResilienceStats` — retried/recovered/exhausted/timeout/shed
   counters and a retry-latency histogram, surfaced through
   ``WorkloadManager.metrics()`` → ``GET /v1/metrics``;
-* :func:`run_with_resilience` — the attempt loop both executors share.
+* :func:`run_with_resilience` — the attempt loop every request on every
+  execution substrate runs through.  With no retries, no armed faults and
+  the breaker off it costs one policy lookup, one attempt count and one
+  bare attempt, so the executors need no second path around it.
 
 Only *retryable* failures are retried: :class:`TransactionAborted`
 subclasses and injected disconnects.  Benchmark-intended aborts
@@ -30,7 +33,8 @@ import random
 import threading
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from ..clock import Clock
 from ..errors import (ConfigurationError, Error, InjectedDisconnect,
@@ -174,6 +178,7 @@ class CircuitBreaker:
         self._state = BREAKER_CLOSED
         self._opened_at = 0.0
         self._probe_inflight = False
+        self._probe_owner = 0
         self.opened_count = 0
         self.configure(error_threshold=error_threshold,
                        window_seconds=window_seconds,
@@ -223,7 +228,12 @@ class CircuitBreaker:
             self._outcomes.popleft()
 
     def allow(self, now: Optional[float] = None) -> bool:
-        """May a request execute right now?  False means: shed it."""
+        """May one request execute right now?  False means: shed it.
+
+        Callers ask once per request: a half-open breaker admits exactly
+        one probe, and a caller that then finds no request to run must
+        :meth:`release` its admission.
+        """
         if not self.enabled:
             return True
         if now is None:
@@ -235,13 +245,25 @@ class CircuitBreaker:
                 if now - self._opened_at < self.cooldown:
                     return False
                 self._state = BREAKER_HALF_OPEN
-                self._probe_inflight = True
-                return True
-            # half-open: one probe at a time
-            if self._probe_inflight:
-                return False
+            elif self._probe_inflight:
+                return False  # half-open: one probe at a time
             self._probe_inflight = True
+            self._probe_owner = threading.get_ident()
             return True
+
+    def release(self) -> None:
+        """Hand back an admission that found no request to run.
+
+        Only the half-open probe is rationed, so only the thread holding
+        it has anything to return; without this an idle half-open window
+        (paused queue, no due request) would hold the probe slot forever.
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            if (self._state == BREAKER_HALF_OPEN and self._probe_inflight
+                    and self._probe_owner == threading.get_ident()):
+                self._probe_inflight = False
 
     def retry_after(self, now: Optional[float] = None) -> float:
         """Seconds until the next half-open probe is admitted."""
@@ -317,11 +339,6 @@ class ResilienceStats:
         with self._lock:
             self._attempts += 1
 
-    def record_attempts(self, count: int) -> None:
-        """Bulk attempt accounting for the executors' batched fast path."""
-        with self._lock:
-            self._attempts += count
-
     def record_retry(self, delay: float) -> None:
         with self._lock:
             self._retried += 1
@@ -369,46 +386,35 @@ class Resilience:
                  per_procedure: Optional[Mapping[str, RetryPolicy]] = None,
                  breaker: Optional[CircuitBreaker] = None) -> None:
         self._lock = threading.Lock()
-        self._default = default or default_retry_policy()
-        self._per_procedure: dict[str, RetryPolicy] = dict(per_procedure
-                                                           or {})
+        #: ``(default policy, per-procedure overrides)``.  Writers build a
+        #: new pair under ``_lock`` and publish it with one reference
+        #: assignment; the overrides mapping is read-only and never
+        #: mutated after publication, so :meth:`policy_for` (once per
+        #: request) reads whichever pair it observes without the lock.
+        self._policies: tuple[RetryPolicy, Mapping[str, RetryPolicy]] = (
+            default or default_retry_policy(),
+            MappingProxyType(dict(per_procedure or {})))
         self.breaker = breaker or CircuitBreaker(clock)
         self.stats = ResilienceStats()
 
     def policy_for(self, txn_name: str) -> RetryPolicy:
-        with self._lock:
-            return self._per_procedure.get(txn_name, self._default)
-
-    def bypass_eligible(self) -> bool:
-        """True when the attempt loop degenerates to one bare attempt.
-
-        No policy (default or per-procedure override) retries or applies
-        a statement timeout, and the breaker is disabled — so for every
-        transaction :func:`run_with_resilience` would do exactly one
-        ``_attempt`` plus bookkeeping.  The threaded executor checks this
-        once per taken batch and runs attempts directly, bulk-recording
-        attempt counts via :meth:`ResilienceStats.record_attempts`;
-        control-plane reconfiguration mid-run is picked up at the next
-        batch boundary.
-        """
-        if self.breaker.enabled:
-            return False
-        with self._lock:
-            policies = [self._default, *self._per_procedure.values()]
-        return all(policy.max_attempts == 1 and policy.timeout is None
-                   for policy in policies)
+        default, overrides = self._policies
+        return overrides.get(txn_name, default)
 
     def set_default(self, policy: RetryPolicy) -> None:
         with self._lock:
-            self._default = policy
+            self._policies = (policy, self._policies[1])
 
     def set_procedure_policy(self, txn_name: str,
                              policy: Optional[RetryPolicy]) -> None:
         with self._lock:
+            default, overrides = self._policies
+            updated = dict(overrides)
             if policy is None:
-                self._per_procedure.pop(txn_name, None)
+                updated.pop(txn_name, None)
             else:
-                self._per_procedure[txn_name] = policy
+                updated[txn_name] = policy
+            self._policies = (default, MappingProxyType(updated))
 
     def configure(self, raw: Mapping[str, object]) -> None:
         """Partial update from a control-plane body.
@@ -416,7 +422,8 @@ class Resilience:
         Top-level retry fields update the default policy; the optional
         ``per_procedure`` mapping overrides single transactions (null
         clears an override); the optional ``breaker`` mapping re-tunes
-        the circuit breaker.
+        the circuit breaker.  The policies change all at once or, when a
+        field is invalid, not at all.
         """
         if not isinstance(raw, Mapping):
             raise ConfigurationError("resilience body must be an object")
@@ -424,20 +431,21 @@ class Resilience:
         per_procedure = body.pop("per_procedure", None)
         breaker = body.pop("breaker", None)
         with self._lock:
+            default, overrides = self._policies
             if body:
-                self._default = RetryPolicy.from_dict(body,
-                                                      base=self._default)
+                default = RetryPolicy.from_dict(body, base=default)
+            updated = dict(overrides)
             if per_procedure is not None:
                 if not isinstance(per_procedure, Mapping):
                     raise ConfigurationError(
                         "per_procedure must map txn names to policies")
                 for name, fields in per_procedure.items():
                     if fields is None:
-                        self._per_procedure.pop(name, None)
+                        updated.pop(name, None)
                     else:
-                        base = self._per_procedure.get(name, self._default)
-                        self._per_procedure[name] = RetryPolicy.from_dict(
-                            fields, base=base)
+                        updated[name] = RetryPolicy.from_dict(
+                            fields, base=updated.get(name, default))
+            self._policies = (default, MappingProxyType(updated))
         if breaker is not None:
             if not isinstance(breaker, Mapping):
                 raise ConfigurationError("breaker must be an object")
@@ -450,13 +458,13 @@ class Resilience:
             self.breaker.configure(**breaker)  # type: ignore[arg-type]
 
     def describe(self) -> dict[str, object]:
-        with self._lock:
-            return {
-                **self._default.to_dict(),
-                "per_procedure": {name: policy.to_dict() for name, policy
-                                  in sorted(self._per_procedure.items())},
-                "breaker": self.breaker.describe(),
-            }
+        default, overrides = self._policies
+        return {
+            **default.to_dict(),
+            "per_procedure": {name: policy.to_dict() for name, policy
+                              in sorted(overrides.items())},
+            "breaker": self.breaker.describe(),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +472,7 @@ class Resilience:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResilientOutcome:
+class ResilientOutcome(NamedTuple):
     """Final result of one request after retries."""
 
     status: str
@@ -491,6 +498,17 @@ def _attempt(proc, conn, rng) -> tuple[str, Optional[Exception]]:
         return STATUS_ERROR, exc
 
 
+def _wait(seconds: float,
+          waiter: Optional[Callable[[float], None]]) -> float:
+    """Sleep ``seconds`` through ``waiter`` (if any); return the seconds
+    to add to the outcome's ``waited`` (nothing for a non-positive one)."""
+    if seconds <= 0:
+        return 0.0
+    if waiter is not None:
+        waiter(seconds)
+    return seconds
+
+
 def run_with_resilience(proc, txn_name: str, conn: FaultingConnection,
                         rng: random.Random, *,
                         clock: Clock,
@@ -507,16 +525,8 @@ def run_with_resilience(proc, txn_name: str, conn: FaultingConnection,
     """
     policy = resilience.policy_for(txn_name)
     stats = resilience.stats
+    breaker = resilience.breaker
     waited = 0.0
-
-    def wait(seconds: float) -> None:
-        nonlocal waited
-        if seconds <= 0:
-            return
-        waited += seconds
-        if waiter is not None:
-            waiter(seconds)
-
     attempts = 0
     while True:
         attempts += 1
@@ -527,31 +537,33 @@ def run_with_resilience(proc, txn_name: str, conn: FaultingConnection,
         plan = injector.attempt_begin(txn_name) \
             if injector is not None and getattr(injector, "armed", True) \
             else None
-        if plan is not None and plan.kind == KIND_LATENCY:
+        if plan is None:
+            status, exc = _attempt(proc, conn, rng)
+        elif plan.kind == KIND_LATENCY:
             spike = plan.latency
             if policy.timeout is not None and spike > policy.timeout:
                 # The statement timeout bounds the spike: give up after
                 # ``timeout`` seconds instead of riding it out.
-                wait(policy.timeout)
+                waited += _wait(policy.timeout, waiter)
                 conn.rollback()
                 stats.record_timeout()
-                status: str = STATUS_ABORTED
-                exc: Optional[Exception] = StatementTimeout(
+                status = STATUS_ABORTED
+                exc = StatementTimeout(
                     f"injected latency spike of {spike:.3f}s exceeded the "
                     f"{policy.timeout:.3f}s statement timeout")
             else:
-                wait(spike)
+                waited += _wait(spike, waiter)
                 status, exc = _attempt(proc, conn, rng)
         else:
-            if plan is not None and plan.kind in CONNECTION_FAULT_KINDS:
+            if plan.kind in CONNECTION_FAULT_KINDS:
                 conn.arm(plan)
             status, exc = _attempt(proc, conn, rng)
             # Disarm: an organic failure can beat the planned fault to
             # the punch, and a stale plan must not leak into the retry.
             conn.arm(None)
         ok = status == STATUS_OK
-        if resilience.breaker.enabled:
-            resilience.breaker.record(ok, clock.now())
+        if breaker.enabled:
+            breaker.record(ok, clock.now())
         if ok:
             if attempts > 1:
                 stats.record_recovered()
@@ -569,7 +581,7 @@ def run_with_resilience(proc, txn_name: str, conn: FaultingConnection,
             return ResilientOutcome(status, attempts, waited)
         delay = policy.delay(attempts, retry_rng)
         stats.record_retry(delay)
-        wait(delay)
+        waited += _wait(delay, waiter)
 
 
 __all__ = [

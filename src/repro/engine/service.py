@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 
@@ -113,21 +114,25 @@ def get_personality(name: str) -> DbmsPersonality:
 
 @dataclass
 class LoadTracker:
-    """Tracks in-flight transactions for the personality's load inputs."""
+    """Tracks in-flight transactions for the personality's load inputs.
+
+    ``token`` names one in-flight transaction; any hashable that is unique
+    while it is in flight will do (the simulator uses its worker record).
+    """
 
     active: int = 0
     active_writers: int = 0
     peak_active: int = 0
-    _writer_flags: dict[int, bool] = field(default_factory=dict)
+    _writer_flags: dict[Hashable, bool] = field(default_factory=dict)
 
-    def started(self, token: int, is_writer: bool) -> None:
+    def started(self, token: Hashable, is_writer: bool) -> None:
         self.active += 1
         self.peak_active = max(self.peak_active, self.active)
         if is_writer:
             self.active_writers += 1
         self._writer_flags[token] = is_writer
 
-    def finished(self, token: int) -> None:
+    def finished(self, token: Hashable) -> None:
         was_writer = self._writer_flags.pop(token, False)
         self.active = max(0, self.active - 1)
         if was_writer:

@@ -204,18 +204,15 @@ class TransactionManager:
                            tables: dict[str, TableData]) -> None:
         """First-committer-wins: abort if any touched row moved on."""
         for (table_name, rowid), op in txn.workspace.items():
-            data = tables[table_name]
-            latest = data.latest_version(rowid)
             if op.kind == INSERT:
                 # Another committer may have claimed the same primary key.
-                if data.schema.primary_key and op.values is not None:
-                    key = data.schema.pk_key(op.values)
-                    existing = data.pk_lookup_latest(key)
-                    if existing is not None and existing != rowid:
-                        raise SerializationError(
-                            f"concurrent insert of key {key!r} "
-                            f"into {table_name!r}")
+                key = _claimed_key(txn, tables, table_name, rowid, op)
+                if key is not None:
+                    raise SerializationError(
+                        f"concurrent insert of key {key!r} "
+                        f"into {table_name!r}")
                 continue
+            latest = tables[table_name].latest_version(rowid)
             if latest is not None and latest.begin_ts > txn.snapshot_ts:
                 raise SerializationError(
                     f"write-write conflict on {table_name!r} row {rowid}")
@@ -230,23 +227,13 @@ class TransactionManager:
         have committed the key since.  (Snapshot transactions get the
         same check from :meth:`_validate_snapshot`.)
         """
-        workspace = txn.workspace
-        for (table_name, rowid), op in workspace.items():
+        for (table_name, rowid), op in txn.workspace.items():
             if op.kind != INSERT:
                 continue
-            schema = tables[table_name].schema
-            if not schema.primary_key:
-                continue
-            key = schema.pk_key(op.values)
-            existing = tables[table_name].pk_lookup_latest(key)
-            if existing is None or existing == rowid:
-                continue
-            own = workspace.get((table_name, existing))
-            if own is not None and (own.values is None
-                                    or schema.pk_key(own.values) != key):
-                continue
-            raise IntegrityError(
-                f"duplicate primary key {key!r} in {table_name!r}")
+            key = _claimed_key(txn, tables, table_name, rowid, op)
+            if key is not None:
+                raise IntegrityError(
+                    f"duplicate primary key {key!r} in {table_name!r}")
 
     def min_active_snapshot(self) -> float:
         with self.latch:
@@ -258,3 +245,26 @@ class TransactionManager:
         horizon = self.min_active_snapshot()
         for data in tables.values():
             data.prune(horizon)
+
+
+def _claimed_key(txn: Transaction, tables: dict[str, TableData],
+                 table_name: str, rowid: int,
+                 op: WriteOp) -> Optional[tuple]:
+    """The primary key ``txn``'s insert of ``rowid`` takes when another row
+    holds it in the latest committed state, else ``None``.
+
+    A holder that ``txn`` itself deletes or rekeys frees the key, so it
+    does not count: deleting a row and inserting its key again is legal.
+    """
+    schema = tables[table_name].schema
+    if not schema.primary_key or op.values is None:
+        return None
+    key = schema.pk_key(op.values)
+    holder = tables[table_name].pk_lookup_latest(key)
+    if holder is None or holder == rowid:
+        return None
+    own = txn.workspace.get((table_name, holder))
+    if own is not None and (own.values is None
+                            or schema.pk_key(own.values) != key):
+        return None
+    return key

@@ -1,4 +1,5 @@
-"""HTTP server edge cases: bad routes, bad bodies, concurrent polls."""
+"""HTTP server edge cases on the ``/v1`` surface: bad routes, bad bodies,
+concurrent polls."""
 
 import json
 import threading
@@ -41,31 +42,31 @@ def raw_request(server, method, path, body=None):
 
 @pytest.mark.slow
 def test_unknown_get_route_is_404(server):
-    status, data = raw_request(server, "GET", "/nonsense")
+    status, data = raw_request(server, "GET", "/v1/nonsense")
     assert status == 404
-    assert data["ok"] is False
+    assert data["error"]["code"] == "not_found"
 
 
 @pytest.mark.slow
 def test_unknown_post_action_is_404(server):
-    status, _data = raw_request(server, "POST", "/workloads/t1/explode",
+    status, _data = raw_request(server, "POST", "/v1/workloads/t1/explode",
                                 {})
     assert status == 404
 
 
 @pytest.mark.slow
 def test_post_to_get_only_route_is_405(server):
-    for path in ("/status", "/metrics", "/benchmarks", "/tenants",
-                 "/workloads/t1/status", "/workloads/t1/metrics",
-                 "/workloads/t1/presets"):
+    for path in ("/v1/status", "/v1/metrics", "/v1/benchmarks", "/v1/tenants",
+                 "/v1/workloads/t1/status", "/v1/workloads/t1/metrics",
+                 "/v1/workloads/t1/presets"):
         status, data = raw_request(server, "POST", path, {})
         assert status == 405, path
-        assert data["ok"] is False
+        assert data["error"]["code"] == "method_not_allowed"
 
 
 @pytest.mark.slow
 def test_get_on_post_only_action_is_405(server):
-    status, _data = raw_request(server, "GET", "/workloads/t1/rate")
+    status, _data = raw_request(server, "GET", "/v1/workloads/t1/rate")
     assert status == 405
 
 
@@ -73,7 +74,7 @@ def test_get_on_post_only_action_is_405(server):
 def test_405_carries_allow_header(server):
     host, port = server.address
     conn = HTTPConnection(host, port, timeout=5)
-    conn.request("POST", "/workloads/t1/status")
+    conn.request("POST", "/v1/workloads/t1/status")
     response = conn.getresponse()
     assert response.status == 405
     assert "GET" in (response.getheader("Allow") or "")
@@ -83,13 +84,13 @@ def test_405_carries_allow_header(server):
 
 @pytest.mark.slow
 def test_unsupported_method_is_405_on_known_path(server):
-    status, _data = raw_request(server, "PUT", "/workloads/t1/rate", {})
+    status, _data = raw_request(server, "PUT", "/v1/workloads/t1/rate", {})
     assert status == 405
 
 
 @pytest.mark.slow
 def test_unsupported_method_is_404_on_unknown_path(server):
-    status, _data = raw_request(server, "DELETE", "/no/such/path")
+    status, _data = raw_request(server, "DELETE", "/v1/no/such/path")
     assert status == 404
 
 
@@ -97,7 +98,7 @@ def test_unsupported_method_is_404_on_unknown_path(server):
 def test_malformed_json_body_is_400(server):
     host, port = server.address
     conn = HTTPConnection(host, port, timeout=5)
-    conn.request("POST", "/workloads/t1/rate", body=b"{not json",
+    conn.request("POST", "/v1/workloads/t1/rate", body=b"{not json",
                  headers={"Content-Type": "application/json"})
     response = conn.getresponse()
     assert response.status == 400
@@ -107,21 +108,22 @@ def test_malformed_json_body_is_400(server):
 
 @pytest.mark.slow
 def test_missing_body_fields_rejected(server):
-    status, data = raw_request(server, "POST", "/workloads/t1/rate", {})
+    status, data = raw_request(server, "POST", "/v1/workloads/t1/rate", {})
     assert status == 400  # rate missing -> invalid
 
 
 @pytest.mark.slow
 def test_unknown_tenant_in_path_is_404(server):
-    for path in ("/workloads/ghost/status", "/workloads/ghost/metrics"):
+    for path in ("/v1/workloads/ghost/status", "/v1/workloads/ghost/metrics"):
         status, data = raw_request(server, "GET", path)
         assert status == 404, path
-        assert "ghost" in data["error"]
+        assert data["error"]["code"] == "not_found"
+        assert "ghost" in data["error"]["message"]
 
 
 @pytest.mark.slow
 def test_metrics_route_round_trip(server):
-    status, data = raw_request(server, "GET", "/workloads/t1/metrics")
+    status, data = raw_request(server, "GET", "/v1/workloads/t1/metrics")
     assert status == 200
     assert data["tenant"] == "t1"
     assert "throughput" in data["window"]
@@ -131,7 +133,7 @@ def test_metrics_route_round_trip(server):
     assert {"hits", "misses", "evictions", "invalidations"} <= \
         set(engine["plan_cache"])
     assert "stmt_cache" in engine and "catalog_version" in engine
-    status, data = raw_request(server, "GET", "/metrics")
+    status, data = raw_request(server, "GET", "/v1/metrics")
     assert status == 200
     assert "t1" in data
 
@@ -139,7 +141,7 @@ def test_metrics_route_round_trip(server):
 @pytest.mark.slow
 def test_metrics_window_param(server):
     status, data = raw_request(server, "GET",
-                               "/workloads/t1/metrics?window=2")
+                               "/v1/workloads/t1/metrics?window=2")
     assert status == 200
     assert data["window"]["seconds"] == 2
 
@@ -147,10 +149,10 @@ def test_metrics_window_param(server):
 @pytest.mark.slow
 def test_bad_window_param_is_400(server):
     status, _data = raw_request(server, "GET",
-                                "/workloads/t1/metrics?window=soon")
+                                "/v1/workloads/t1/metrics?window=soon")
     assert status == 400
     status, _data = raw_request(server, "GET",
-                                "/workloads/t1/metrics?window=-1")
+                                "/v1/workloads/t1/metrics?window=-1")
     assert status == 400
 
 
@@ -161,7 +163,7 @@ def test_concurrent_status_polls(server):
     def poll():
         for _ in range(10):
             status, data = raw_request(server, "GET",
-                                       "/workloads/t1/status")
+                                       "/v1/workloads/t1/status")
             if status != 200 or data["benchmark"] != "mini":
                 errors.append(data)
 

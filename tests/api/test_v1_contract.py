@@ -3,9 +3,8 @@
 Every v1 route is probed with every HTTP method: allowed methods answer
 200 (or a semantically correct 4xx), disallowed methods answer 405 with
 an ``Allow`` header, unknown paths answer 404, and every v1 error uses
-the uniform envelope ``{"error": {"code", "message"}}``.  The legacy
-unversioned routes must keep their exact old payloads and error shape
-while carrying a ``Deprecation: true`` header.
+the uniform envelope ``{"error": {"code", "message"}}``.  A path
+outside ``/v1`` is an enveloped 404.
 """
 
 import json
@@ -44,19 +43,6 @@ V1_ROUTES = {
     "/v1/workloads/{tenant}/resilience": {"GET", "PUT"},
 }
 
-#: Legacy routes that must answer exactly like their v1 twin.
-LEGACY_TWINS = (
-    "/benchmarks", "/status", "/metrics", "/tenants",
-    "/workloads/{tenant}/status", "/workloads/{tenant}/presets",
-)
-
-#: v1-only paths: they never existed unversioned, so the legacy tree 404s.
-V1_ONLY = (
-    "/workloads", "/workloads/{tenant}", "/workloads/{tenant}/start",
-    "/workloads/{tenant}/stop", "/workloads/{tenant}/faults",
-    "/workloads/{tenant}/resilience",
-)
-
 TENANT = "t1"
 
 
@@ -93,15 +79,6 @@ def call(server, method, path, body=None, raw_body=None):
 
 def _expand(path):
     return path.replace("{tenant}", TENANT)
-
-
-def _stable(data):
-    """Mask wall-clock fields so two sequential reads compare equal."""
-    if isinstance(data, dict):
-        return {k: _stable(v) for k, v in data.items() if k != "elapsed"}
-    if isinstance(data, list):
-        return [_stable(v) for v in data]
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -229,43 +206,16 @@ def test_workloads_listing_marks_inprocess_tenants(server):
 
 
 # ---------------------------------------------------------------------------
-# Legacy aliases: same payloads, Deprecation header, old error shape
+# Unversioned paths
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.slow
-def test_legacy_routes_match_v1_payloads(server):
-    for route in LEGACY_TWINS:
-        legacy = _expand(route)
-        status, headers, data = call(server, "GET", legacy)
-        v1_status, v1_headers, v1_data = call(server, "GET",
-                                              "/v1" + legacy)
-        assert status == v1_status == 200, route
-        assert _stable(data) == _stable(v1_data), route
-        assert headers.get("Deprecation") == "true", route
-        assert 'rel="successor-version"' in headers.get("Link", ""), route
-        assert "Deprecation" not in v1_headers
-
-
-@pytest.mark.slow
-def test_legacy_errors_keep_the_old_shape(server):
-    status, headers, data = call(server, "GET", "/workloads/ghost/status")
-    assert status == 404
-    assert data["ok"] is False
-    assert isinstance(data["error"], str)  # not the v1 envelope
-    assert headers.get("Deprecation") == "true"
-    status, _, data = call(server, "POST", f"/workloads/{TENANT}/rate",
-                           body={"rate": -3})
-    assert status == 400
-    assert data["ok"] is False
-
-
-@pytest.mark.slow
-def test_v1_only_routes_never_existed_unversioned(server):
-    for route in V1_ONLY:
-        path = _expand(route)
-        method = "POST" if path.endswith(("start", "stop")) else "GET"
-        status, headers, data = call(server, method, path)
-        assert status == 404, (path, data)
-        assert data["ok"] is False  # legacy tree, legacy error shape
-        assert headers.get("Deprecation") == "true"
+def test_unversioned_paths_are_404(server):
+    for route, methods in V1_ROUTES.items():
+        path = _expand(route)[len("/v1"):]
+        for method in sorted(methods):
+            status, headers, data = call(server, method, path, body={})
+            assert status == 404, (method, path, data)
+            assert data["error"]["code"] == "not_found", (method, path)
+            assert "Deprecation" not in headers, (method, path)

@@ -8,19 +8,18 @@ import pytest
 
 from repro.core import (Phase, RATE_DISABLED, ThreadedExecutor,
                         WorkloadConfiguration, WorkloadManager)
-from repro.engine.service import get_personality
 from repro.errors import ConfigurationError
 
 from ..conftest import MiniBenchmark
 
 
-def run_threaded(db, phases, workers=4, personality=None, timeout=15):
+def run_threaded(db, phases, workers=4, timeout=15):
     bench = MiniBenchmark(db, seed=42)
     bench.load()
     cfg = WorkloadConfiguration(benchmark="mini", workers=workers, seed=1,
                                 phases=phases)
     manager = WorkloadManager(bench, cfg)
-    executor = ThreadedExecutor(db, personality=personality)
+    executor = ThreadedExecutor(db)
     executor.add_workload(manager)
     executor.run(timeout=timeout)
     return manager
@@ -46,14 +45,6 @@ def test_threaded_closed_loop_runs_flat_out(db):
     manager = run_threaded(db, [
         Phase(duration=2, rate=RATE_DISABLED)], workers=2)
     assert manager.results.throughput() > 500  # engine-speed, no throttle
-
-
-@pytest.mark.slow
-def test_threaded_personality_throttles_throughput(db):
-    manager = run_threaded(db, [Phase(duration=2, rate=RATE_DISABLED)],
-                           workers=2, personality=get_personality("derby"))
-    # Derby's ~1.2ms+ service time caps 2 workers well below raw speed.
-    assert manager.results.throughput() < 1400
 
 
 @pytest.mark.slow
@@ -192,3 +183,16 @@ def test_batched_run_flushes_all_samples(db):
     # Every taken request became a recorded sample (buffers all flushed).
     assert len(manager.results) == counters["taken"]
     assert manager.results.recorder_stats()["sample_batches"] >= 1
+
+
+@pytest.mark.slow
+def test_every_request_counts_one_attempt_under_default_policy(
+        db, monkeypatch):
+    """Batched takes run each request through the attempt loop: with no
+    retries (the chaos job's retry default unset), each recorded sample
+    is exactly one counted attempt, injected faults or not."""
+    monkeypatch.delenv("REPRO_CHAOS_RETRIES", raising=False)
+    manager = run_threaded(db, [Phase(duration=1, rate=300)])
+    assert len(manager.results) > 0
+    stats = manager.resilience.stats.snapshot()
+    assert stats["attempts"] == len(manager.results)

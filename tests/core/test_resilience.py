@@ -137,6 +137,32 @@ def test_half_open_probe_failure_reopens():
     assert breaker.describe()["opened_count"] == 2
 
 
+def test_released_probe_admits_the_next_caller():
+    """A probe admission that found no request is handed back, so an idle
+    half-open window cannot hold the probe slot forever."""
+    clock = SimClock()
+    breaker = _tripped_breaker(clock)
+    clock.run_until(2.5)
+    assert breaker.allow()
+    breaker.release()
+    assert breaker.state == BREAKER_HALF_OPEN
+    assert breaker.allow()  # the slot is free again
+    assert not breaker.allow()
+
+
+def test_only_the_probe_holder_can_release_it():
+    import threading
+
+    clock = SimClock()
+    breaker = _tripped_breaker(clock)
+    clock.run_until(2.5)
+    assert breaker.allow()
+    other = threading.Thread(target=breaker.release)
+    other.start()
+    other.join()
+    assert not breaker.allow()  # still one probe in flight
+
+
 def test_breaker_configure_validation():
     breaker = CircuitBreaker(SimClock())
     with pytest.raises(ConfigurationError):
@@ -339,3 +365,79 @@ def test_resilience_configure_rejects_bad_bodies():
         resilience.configure({"breaker": {"bogus": 1}})
     with pytest.raises(ConfigurationError):
         resilience.configure({"per_procedure": "not-a-mapping"})
+
+
+def test_policy_for_sees_every_writer_on_the_next_call():
+    """``policy_for`` reads a published snapshot without the lock; each
+    writer must publish before it returns."""
+    resilience = Resilience(SimClock(), default=RetryPolicy())
+    assert resilience.policy_for("Write").max_attempts == 1
+    resilience.set_default(RetryPolicy(max_attempts=2))
+    assert resilience.policy_for("Write").max_attempts == 2
+    resilience.set_procedure_policy("Write", RetryPolicy(max_attempts=5))
+    assert resilience.policy_for("Write").max_attempts == 5
+    assert resilience.policy_for("Read").max_attempts == 2
+    resilience.configure({"max_attempts": 3,
+                          "per_procedure": {"Read": {"timeout": 0.5}}})
+    assert resilience.policy_for("Read").timeout == 0.5
+    assert resilience.policy_for("Read").max_attempts == 3
+    assert resilience.policy_for("Write").max_attempts == 5
+    resilience.configure({"per_procedure": {"Write": None}})
+    assert resilience.policy_for("Write").max_attempts == 3
+    resilience.set_procedure_policy("Read", None)
+    assert resilience.policy_for("Read").timeout is None
+
+
+def test_invalid_configure_changes_no_policy():
+    resilience = Resilience(SimClock(), default=RetryPolicy())
+    with pytest.raises(ConfigurationError):
+        resilience.configure({"per_procedure": {
+            "Read": {"max_attempts": 4}, "Write": {"max_attempts": 0}}})
+    assert resilience.policy_for("Read").max_attempts == 1
+    assert resilience.describe()["per_procedure"] == {}
+
+
+def test_concurrent_policy_writers_lose_no_update():
+    """Writers copy the published overrides, change the copy and publish
+    it; without the writer lock one could publish a copy that drops
+    another's change.  Each writer only raises its own procedure's
+    attempts, so no reader may ever see one fall."""
+    import sys
+    import threading
+
+    resilience = Resilience(SimClock(), default=RetryPolicy())
+    names = [f"T{i}" for i in range(8)]
+    regressions = []
+
+    def write(name):
+        for attempts in range(2, 202):
+            resilience.set_procedure_policy(
+                name, RetryPolicy(max_attempts=attempts))
+
+    def read():
+        last = dict.fromkeys(names, 1)
+        for _ in range(500):
+            for name in names:
+                attempts = resilience.policy_for(name).max_attempts
+                if attempts < last[name]:
+                    regressions.append((name, last[name], attempts))
+                last[name] = attempts
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = ([threading.Thread(target=write, args=(n,))
+                    for n in names]
+                   + [threading.Thread(target=read) for _ in range(2)])
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not regressions
+    described = resilience.describe()["per_procedure"]
+    assert {name: policy["max_attempts"]
+            for name, policy in described.items()} == \
+        dict.fromkeys(names, 201)

@@ -182,3 +182,94 @@ def test_threaded_executor_recovers_faults(db):
     assert counters["offered"] == (counters["taken"]
                                    + counters["postponed"]
                                    + counters["depth"])
+
+
+# -- breaker admission is per request --------------------------------------
+
+BREAKER = {"breaker": {"error_threshold": 0.5, "min_samples": 10,
+                       "cooldown": 0.5}}
+
+
+def _log_outcome_states(manager):
+    """Log the breaker state each recorded outcome lands in."""
+    breaker = manager.resilience.breaker
+    record = breaker.record
+    states = []
+
+    def logged(ok, now=None):
+        states.append(breaker.state)
+        record(ok, now)
+
+    breaker.record = logged
+    return states
+
+
+def _assert_one_probe_per_window(manager, states):
+    opened = manager.resilience.breaker.describe()["opened_count"]
+    assert opened >= 2
+    # No outcome is recorded while the breaker is open: every request it
+    # admitted ran before it opened or as a half-open probe.
+    assert "open" not in states
+    # Each probe fails (every attempt aborts) and reopens the breaker, so
+    # every opening after the first follows exactly one probe.
+    assert states.count("half-open") == opened - 1
+    counters = manager.queue.counters()
+    assert counters["offered"] == (counters["taken"]
+                                   + counters["postponed"]
+                                   + counters["depth"])
+
+
+def test_sim_breaker_admits_one_probe_per_window(db):
+    executor, manager = build(db, [Phase(duration=3, rate=400)])
+    manager.set_fault_profile({"abort_probability": 1.0})
+    manager.set_resilience(BREAKER)
+    states = _log_outcome_states(manager)
+    executor.run()
+    _assert_one_probe_per_window(manager, states)
+
+
+@pytest.mark.slow
+def test_threaded_breaker_admits_one_probe_per_window(db):
+    bench = MiniBenchmark(db, seed=42)
+    bench.load()
+    cfg = WorkloadConfiguration(benchmark="mini", workers=1, seed=1,
+                                phases=[Phase(duration=2, rate=400)])
+    manager = WorkloadManager(bench, cfg)
+    manager.set_fault_profile({"abort_probability": 1.0})
+    manager.set_resilience(BREAKER)
+    states = _log_outcome_states(manager)
+    executor = ThreadedExecutor(db, take_batch=16)
+    executor.add_workload(manager)
+    assert executor.run(timeout=15)["ok"]
+    _assert_one_probe_per_window(manager, states)
+
+
+# A half-open probe admission that finds no due request is handed back:
+# at a sparse rate the worker used to keep the probe slot and the breaker
+# stayed half-open, shedding every later request, after one opening.
+SPARSE_BREAKER = {"breaker": {"error_threshold": 0.5, "min_samples": 2,
+                              "cooldown": 0.1}}
+
+
+def test_sim_breaker_keeps_probing_at_a_sparse_rate(db):
+    executor, manager = build(db, [Phase(duration=20, rate=1)], workers=1)
+    manager.set_fault_profile({"abort_probability": 1.0})
+    manager.set_resilience(SPARSE_BREAKER)
+    executor.run()
+    # Every arrival after the first opening is one failing probe.
+    assert manager.resilience.breaker.describe()["opened_count"] >= 10
+
+
+@pytest.mark.slow
+def test_threaded_breaker_keeps_probing_at_a_sparse_rate(db):
+    bench = MiniBenchmark(db, seed=42)
+    bench.load()
+    cfg = WorkloadConfiguration(benchmark="mini", workers=1, seed=1,
+                                phases=[Phase(duration=3, rate=2)])
+    manager = WorkloadManager(bench, cfg)
+    manager.set_fault_profile({"abort_probability": 1.0})
+    manager.set_resilience(SPARSE_BREAKER)
+    executor = ThreadedExecutor(db)
+    executor.add_workload(manager)
+    assert executor.run(timeout=15)["ok"]
+    assert manager.resilience.breaker.describe()["opened_count"] >= 3

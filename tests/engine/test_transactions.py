@@ -6,7 +6,8 @@ import pytest
 
 from repro.engine import Database, SERIALIZABLE, SNAPSHOT, connect
 from repro.errors import (DeadlockError, IntegrityError, OperationalError,
-                          ProgrammingError, TransactionAborted)
+                          ProgrammingError, SerializationError,
+                          TransactionAborted)
 
 from ..conftest import execute
 
@@ -263,3 +264,31 @@ def test_commit_allows_a_key_its_own_delete_frees(bank):
     conn.commit()
     assert balances(bank) == {1: 7, 2: 8, 3: 100}
     conn.close()
+
+
+def test_snapshot_commit_allows_a_key_its_own_delete_frees(bank):
+    """Snapshot validation skips a key holder its own workspace deletes or
+    rekeys, as the serializable key check does."""
+    conn = connect(bank, isolation=SNAPSHOT)
+    execute(conn, "DELETE FROM acct WHERE id = 1")
+    execute(conn, "INSERT INTO acct VALUES (1, 7)")
+    execute(conn, "UPDATE acct SET id = 3 WHERE id = 2")
+    execute(conn, "INSERT INTO acct VALUES (2, 8)")
+    conn.commit()
+    assert balances(bank) == {1: 7, 2: 8, 3: 100}
+    conn.close()
+
+
+def test_snapshot_insert_of_a_concurrently_committed_key_conflicts(bank):
+    first = connect(bank, isolation=SNAPSHOT)
+    second = connect(bank, isolation=SNAPSHOT)
+    execute(first, "INSERT INTO acct VALUES (5, 1)")
+    execute(second, "INSERT INTO acct VALUES (5, 2)")
+    second.commit()
+    with pytest.raises(SerializationError,
+                       match=r"concurrent insert of key \(5,\)"):
+        first.commit()
+    first.rollback()
+    assert balances(bank) == {1: 100, 2: 100, 5: 2}
+    first.close()
+    second.close()

@@ -19,6 +19,13 @@ prints one JSON object: the median parent/change time ratio over the
 chunks (above 1 means the change is faster), its quartiles, and how many
 chunks the change won.  Pin the process to one core (``taskset -c 1``)
 for steadier numbers.
+
+Because each chunk starts from a collected heap (``gc.collect()`` before
+its timer starts), a chunk rarely pays for a full collection: the ratio
+leaves out most of the cyclic collector's time and cannot size a change
+to what the collector walks.  Measure such a change end to end, or time
+the collector itself (``gc.callbacks``) over a run that does not collect
+between chunks.
 """
 
 from __future__ import annotations

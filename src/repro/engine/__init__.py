@@ -17,7 +17,7 @@ from .dbapi import Connection, Cursor, connect
 from .locks import EXCLUSIVE, SHARED, LockManager
 from .plan import LruCache, PlanCache, compile_statement
 from .service import PERSONALITIES, DbmsPersonality, get_personality
-from .storage import TableData, Version
+from .storage import TableData
 from .txn import SERIALIZABLE, SNAPSHOT, Transaction, TransactionManager
 from .types import SqlType, compare_values
 
@@ -28,7 +28,7 @@ __all__ = [
     "EXCLUSIVE", "SHARED", "LockManager",
     "LruCache", "PlanCache", "compile_statement",
     "PERSONALITIES", "DbmsPersonality", "get_personality",
-    "TableData", "Version",
+    "TableData",
     "SERIALIZABLE", "SNAPSHOT", "Transaction", "TransactionManager",
     "SqlType", "compare_values",
 ]

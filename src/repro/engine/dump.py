@@ -22,7 +22,6 @@ from typing import Optional
 from ..errors import DataError
 from .catalog import ColumnDef, IndexDef, TableSchema
 from .database import Database
-from .storage import READ_LATEST
 from .types import SqlType
 
 FORMAT_VERSION = 1
@@ -43,11 +42,7 @@ def dump_database(db: Database, path: str | Path) -> dict:
         for table_name in db.table_names():
             schema = db.catalog.get(table_name)
             data = db.table_data(table_name)
-            rows = []
-            for rowid in data.all_rowids():
-                version = data.visible_version(rowid, READ_LATEST)
-                if version is not None and not version.is_tombstone:
-                    rows.append(list(version.values))
+            rows = [list(values) for values in data.latest_rows()]
             payload["tables"].append({
                 "name": table_name,
                 "columns": [

@@ -32,7 +32,7 @@ phantom protection is limited to primary-key locking on inserts; DESIGN.md
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Optional, Sequence, TYPE_CHECKING
+from typing import Collection, Optional, Sequence, TYPE_CHECKING
 
 from ..errors import IntegrityError, ProgrammingError
 from .expr import is_true
@@ -177,7 +177,7 @@ class Executor:
         slot = source.slot
         latch = db.latch
         txns = db.txn_manager
-        effective = txn.effective_version
+        effective = txn.effective_values
         with latch:
             candidates, key = self._plan_candidates(txn, source, rows,
                                                     params, data)
@@ -185,14 +185,14 @@ class Executor:
             unindexed = txn.unindexed.get(table)
             if unindexed:
                 # A new set: the candidates may be a live index bucket.
-                candidates = candidates | unindexed
+                candidates = unindexed.union(candidates)
             txn.stats.rows_examined += len(candidates)
             visible = []
             append = visible.append
             for rowid in candidates:
-                version = effective(table, data, rowid)
-                if version is not None and not version.is_tombstone:
-                    append((rowid, version.values))
+                values = effective(table, data, rowid)
+                if values is not None:
+                    append((rowid, values))
         full = source.filter
         if key is None:
             key_of = residual = None
@@ -218,13 +218,13 @@ class Executor:
                     # A commit landed since the read: the row may have
                     # changed, so read it again.
                     with latch:
-                        version = effective(table, data, rowid)
-                    if version is None or version.is_tombstone:
+                        current = effective(table, data, rowid)
+                    if current is None:
                         continue
                     # Same tuple object means the predicate's inputs are
                     # unchanged, so its verdict is too.
-                    if version.values is not values:
-                        values = version.values
+                    if current is not values:
+                        values = current
                         row_filter = (residual if key_of is not None
                                       and key_of(values) == key else full)
                         if row_filter is not None:
@@ -239,7 +239,7 @@ class Executor:
 
     def _plan_candidates(self, txn: Transaction, source: CompiledSource,
                          rows: list, params: Sequence[object], data
-                         ) -> tuple[AbstractSet[int], Optional[tuple]]:
+                         ) -> tuple[Collection[int], Optional[tuple]]:
         """Access-path cascade: index probe, ordered walk, full scan.
 
         Returns the candidate rowids and, when they came from an index
@@ -273,7 +273,7 @@ class Executor:
                 txn.stats.index_lookups += 1
                 return data.walk_candidates(walk.index_name, *bounds), None
         txn.stats.full_scans += 1
-        return set(data.all_rowids()), None
+        return data.all_rowids(), None
 
     def _ordered_scan(self, txn: Transaction, source: CompiledSource,
                       walk: IndexWalk, rows: list, params: Sequence[object],
@@ -313,7 +313,7 @@ class Executor:
         row_filter = source.filter
         key_of = walk.key_of
         descending = walk.descending
-        effective = txn.effective_version
+        effective = txn.effective_values
         acquire = self.db.lock_manager.acquire
         stats = txn.stats
         out: list[tuple[int, tuple]] = []
@@ -329,11 +329,9 @@ class Executor:
                     bucket = data.index_lookup(name, key)
                     stats.rows_examined += len(bucket)
                     for rowid in bucket:
-                        version = effective(table, data, rowid)
-                        if (version is not None
-                                and version.values is not None
-                                and key_of(version.values) == key):
-                            batch.append((key, rowid, version.values))
+                        values = effective(table, data, rowid)
+                        if values is not None and key_of(values) == key:
+                            batch.append((key, rowid, values))
             resume = None
             for key, rowid, values in batch:
                 if rowid in emitted:
@@ -346,11 +344,11 @@ class Executor:
                     acquire(txn, ("row", table, rowid), lock_mode)
                     if txns.last_commit_ts != read_at:
                         with latch:
-                            version = effective(table, data, rowid)
-                        if version is None or version.is_tombstone:
+                            current = effective(table, data, rowid)
+                        if current is None:
                             continue
-                        if version.values is not values:
-                            values = version.values
+                        if current is not values:
+                            values = current
                             if key_of(values) != key:
                                 resume = key
                                 break
@@ -479,13 +477,12 @@ class Executor:
         The caller holds the storage latch.
         """
         pk_key = data.schema.pk_key
-        effective = txn.effective_version
+        effective = txn.effective_values
         for rowids in (data.index_lookup("__pk__", key),
                        txn.unindexed.get(table, ())):
             for rowid in rowids:
-                version = effective(table, data, rowid)
-                if (version is not None and version.values is not None
-                        and pk_key(version.values) == key):
+                values = effective(table, data, rowid)
+                if values is not None and pk_key(values) == key:
                     return True
         return False
 

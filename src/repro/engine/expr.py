@@ -9,6 +9,7 @@ through comparisons; AND/OR follow Kleene logic.
 from __future__ import annotations
 
 import math
+import re
 from typing import Optional
 
 from ..errors import DataError, ProgrammingError
@@ -53,8 +54,10 @@ def apply_unary(op: str, value: object) -> object:
     if op == "-":
         if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"cannot negate {value!r}")
+        if type(value) not in _NUMBER_TYPES:
+            value = _numeric_operand(value)
+            if not isinstance(value, _NUMBER_TYPES):
+                raise DataError(f"cannot negate {value!r}")
         return -value
     raise ProgrammingError(f"unknown unary operator {op!r}")
 
@@ -236,23 +239,37 @@ def _arith(op: str, left: object, right: object) -> object:
     raise ProgrammingError(f"unknown arithmetic operator {op!r}")
 
 
-def _numeric_operand(value: object) -> object:
-    """An arithmetic operand: bools as ints, numeric strings as numbers.
+#: The numeric prefix sqlite reads from a string used in arithmetic:
+#: optional ASCII whitespace and sign, digits with an optional fraction,
+#: and an exponent only when digits follow its ``e``.
+_NUMERIC_PREFIX = re.compile(
+    r"[ \t\n\v\f\r]*([+-]?(?:[0-9]+(\.[0-9]*)?|(\.)[0-9]+)"
+    r"([eE][+-]?[0-9]+)?)")
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
-    A string that spells a number (``'34'``, ``'2.5'``) converts, as in
-    sqlite; any other string stays and is rejected by the caller.
+
+def _numeric_operand(value: object) -> object:
+    """An arithmetic operand: bools as ints, strings by numeric prefix.
+
+    As in sqlite, a string reads as its longest numeric prefix
+    (``'12abc'`` is 12, ``'1.5e3x'`` is 1500.0, ``'1_000'`` is 1) or
+    as 0 when it has none (``'abc'``).  An integer prefix outside the
+    64-bit range reads as a float.  Other values are returned unchanged
+    for the caller to reject.
     """
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, str):
-        text = value.strip()
-        for kind in (int, float):
-            try:
-                number = kind(text)
-            except ValueError:
-                continue
-            if number == number and abs(number) != math.inf:
+        match = _NUMERIC_PREFIX.match(value)
+        if match is None:
+            return 0
+        text, fraction, point, exponent = match.groups()
+        if (fraction is None and point is None and exponent is None
+                and len(text.lstrip("+-").lstrip("0")) <= 19):
+            number = int(text)
+            if _INT64_MIN <= number <= _INT64_MAX:
                 return number
+        return float(text)
     return value
 
 

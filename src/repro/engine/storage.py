@@ -1,10 +1,13 @@
 """Versioned row storage and index maintenance.
 
-Each table stores rows as *version chains*: ``rowid -> [Version, ...]`` with
-versions ordered by their creating commit timestamp.  A transaction reading
-at snapshot timestamp ``S`` sees the newest version with ``begin_ts <= S``;
-strict-2PL readers use ``S = +inf`` (latest committed), which is safe because
-they hold shared locks.
+Each table stores rows as *version chains*: ``rowid -> ((begin_ts, values),
+...)`` with versions ordered by their creating commit timestamp and
+``values is None`` marking a tombstone.  A transaction reading at snapshot
+timestamp ``S`` sees the newest version with ``begin_ts <= S``; strict-2PL
+readers use ``S = +inf`` (latest committed), which is safe because they
+hold shared locks.  The chain format is private to this module: readers
+ask :class:`TableData` for the values visible at a timestamp, the latest
+values, the live primary-key holder or the latest commit timestamp.
 
 Indexes (the primary key and secondary indexes) are maintained as
 *conservative supersets*: an index entry maps a key to every rowid that had
@@ -14,38 +17,76 @@ pruning removes stale entries once no active snapshot can see them.  This
 keeps index maintenance simple and correct under both 2PL and snapshot
 isolation.
 
-Every index is a hash map ``key -> rowids``.  The first time a plan walks
-an index in key order, the index also gets a :class:`SortedKeys` list of
-its distinct keys; from then on a key enters the list when it first
-enters the hash map and leaves it when pruning empties its bucket.  Keys
-holding a NULL (or a float NaN) have no place in that order and are kept
-in a side set instead.
+Every index is a hash map ``key -> bucket of rowids``.  The first time a
+plan walks an index in key order, the index also gets a
+:class:`SortedKeys` list of its distinct keys; from then on a key enters
+the list when it first enters the hash map and leaves it when pruning
+empties its bucket.  Keys holding a NULL (or a float NaN) have no place in
+that order and are kept in a side set instead.
+
+Chains and small buckets are exact tuples of atomic values, replaced
+rather than mutated.  CPython's cyclic collector stops tracking such a
+tuple once a collection finds its items untracked (one nesting level per
+collection, so before the tuple reaches the oldest generation), and the
+stored rows then cost full collections nothing however many a run loads
+or inserts.  A bucket
+that outgrows :data:`BUCKET_TUPLE_MAX` rowids becomes a set, which keeps
+an insert under a low-cardinality key O(1).
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from typing import (AbstractSet, Callable, Iterable, Iterator, NamedTuple,
-                    Optional)
+from typing import Callable, Collection, Iterable, Iterator, Optional, Union
 
 from .catalog import IndexDef, TableSchema, key_getter
 
 #: Snapshot timestamp meaning "read the latest committed version".
 READ_LATEST = float("inf")
 
+#: Most rowids a bucket keeps in a tuple; a bucket holding more is a set.
+BUCKET_TUPLE_MAX = 16
+
+#: An index bucket: a tuple of at most BUCKET_TUPLE_MAX rowids, else a set.
+Bucket = Union[tuple, set]
+
 _EMPTY: frozenset[int] = frozenset()
 
 
-class Version(NamedTuple):
-    """One committed version of a row; ``values is None`` is a tombstone."""
+def _bucket_add(entries: dict[tuple, Bucket], key: tuple,
+                rowid: int) -> bool:
+    """Add ``rowid`` under ``key``; whether ``key`` is new to ``entries``."""
+    bucket = entries.get(key)
+    if bucket is None:
+        entries[key] = (rowid,)
+        return True
+    if type(bucket) is tuple:
+        if rowid not in bucket:
+            entries[key] = (bucket + (rowid,)
+                            if len(bucket) < BUCKET_TUPLE_MAX
+                            else {*bucket, rowid})
+    else:
+        bucket.add(rowid)
+    return False
 
-    begin_ts: float
-    values: Optional[tuple]
 
-    @property
-    def is_tombstone(self) -> bool:
-        return self.values is None
+def _bucket_discard(entries: dict[tuple, Bucket], key: tuple,
+                    rowid: int) -> bool:
+    """Remove ``rowid`` from under ``key``; whether that emptied the key."""
+    bucket = entries.get(key)
+    if bucket is None or rowid not in bucket:
+        return False
+    if type(bucket) is tuple:
+        if len(bucket) == 1:
+            del entries[key]
+            return True
+        entries[key] = tuple([r for r in bucket if r != rowid])
+    else:
+        bucket.discard(rowid)
+        if len(bucket) <= BUCKET_TUPLE_MAX:
+            entries[key] = tuple(bucket)
+    return False
 
 
 class _Top:
@@ -203,11 +244,12 @@ class TableData:
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._versions: dict[int, list[Version]] = {}
+        # rowid -> version chain: a tuple of (begin_ts, values) pairs.
+        self._chains: dict[int, tuple] = {}
         self._rowid_counter = itertools.count(1)
-        # index name -> {key tuple -> set of rowids}; the primary key uses
-        # the reserved name "__pk__" when the table declares one.
-        self._indexes: dict[str, dict[tuple, set[int]]] = {}
+        # index name -> {key tuple -> bucket of rowids}; the primary key
+        # uses the reserved name "__pk__" when the table declares one.
+        self._indexes: dict[str, dict[tuple, Bucket]] = {}
         self._index_defs: dict[str, IndexDef] = {}
         # index name -> row values -> key tuple.
         self._key_of: dict[str, Callable[[tuple], tuple]] = {}
@@ -222,13 +264,12 @@ class TableData:
     def add_index(self, index: IndexDef) -> None:
         """Register a new index and backfill it from retained versions."""
         self._index_defs[index.name] = index
-        entries: dict[tuple, set[int]] = {}
+        entries: dict[tuple, Bucket] = {}
         key_of = key_getter(self.schema.positions(index.columns))
-        for rowid, chain in self._versions.items():
-            for version in chain:
-                if version.values is not None:
-                    entries.setdefault(key_of(version.values),
-                                       set()).add(rowid)
+        for rowid, chain in self._chains.items():
+            for _begin_ts, values in chain:
+                if values is not None:
+                    _bucket_add(entries, key_of(values), rowid)
         self._indexes[index.name] = entries
         self._key_of[index.name] = key_of
         self._ordered.pop(index.name, None)
@@ -238,28 +279,49 @@ class TableData:
 
     # -- reads ---------------------------------------------------------------
 
-    def visible_version(self, rowid: int, snapshot_ts: float) -> Optional[Version]:
-        """Newest version of ``rowid`` visible at ``snapshot_ts``."""
-        chain = self._versions.get(rowid)
-        if not chain:
+    def visible_values(self, rowid: int,
+                       snapshot_ts: float) -> Optional[tuple]:
+        """Values of ``rowid`` visible at ``snapshot_ts``; None when no
+        version is visible yet or the visible one is a tombstone."""
+        chain = self._chains.get(rowid)
+        if chain is None:
             return None
-        for version in reversed(chain):
-            if version.begin_ts <= snapshot_ts:
-                return version
+        i = len(chain)
+        while i:
+            i -= 1
+            version = chain[i]
+            if version[0] <= snapshot_ts:
+                return version[1]
         return None
 
-    def latest_version(self, rowid: int) -> Optional[Version]:
-        chain = self._versions.get(rowid)
-        return chain[-1] if chain else None
+    def latest_values(self, rowid: int) -> Optional[tuple]:
+        """Latest committed values of ``rowid``; None if deleted or absent."""
+        chain = self._chains.get(rowid)
+        return chain[-1][1] if chain is not None else None
 
-    def all_rowids(self) -> Iterator[int]:
-        return iter(list(self._versions.keys()))
+    def latest_begin_ts(self, rowid: int) -> Optional[float]:
+        """Commit timestamp of ``rowid``'s latest version, if it has one."""
+        chain = self._chains.get(rowid)
+        return chain[-1][0] if chain is not None else None
 
-    def index_lookup(self, index_name: str, key: tuple) -> AbstractSet[int]:
+    def latest_rows(self) -> Iterator[tuple]:
+        """Values of every row live in the latest committed state, in the
+        order the rows were first committed."""
+        for chain in self._chains.values():
+            values = chain[-1][1]
+            if values is not None:
+                yield values
+
+    def all_rowids(self) -> set[int]:
+        """Every retained rowid, in a new set the caller owns."""
+        return set(self._chains)
+
+    def index_lookup(self, index_name: str, key: tuple) -> Collection[int]:
         """Candidate rowids for an equality key (conservative superset).
 
         This is the index's live bucket, not a copy: callers read it only
-        while they hold the database latch and never mutate it.
+        while they hold the database latch and never mutate it.  It is a
+        tuple or a set (see :data:`BUCKET_TUPLE_MAX`).
         """
         entries = self._indexes.get(index_name)
         if entries is None:
@@ -289,11 +351,11 @@ class TableData:
         entries = self._indexes[index_name]
         candidates: set[int] = set()
         for key in ordered.keys.between(low, high):
-            candidates |= entries[key]
+            candidates.update(entries[key])
         width = len(prefix)
         for key in ordered.unordered:
             if key[:width] == prefix:
-                candidates |= entries[key]
+                candidates.update(entries[key])
         return candidates
 
     def find_index(self, columns: Iterable[str]) -> Optional[IndexDef]:
@@ -314,20 +376,14 @@ class TableData:
         """Rowid whose *latest committed* version is live with this PK."""
         pk_key = self.schema.pk_key
         for rowid in self.index_lookup("__pk__", key):
-            version = self.latest_version(rowid)
-            if (version is not None and version.values is not None
-                    and pk_key(version.values) == key):
+            values = self.latest_values(rowid)
+            if values is not None and pk_key(values) == key:
                 return rowid
         return None
 
     def count_live(self) -> int:
         """Number of rows live in the latest committed state."""
-        count = 0
-        for rowid in self._versions:
-            version = self.latest_version(rowid)
-            if version is not None and not version.is_tombstone:
-                count += 1
-        return count
+        return sum(1 for _ in self.latest_rows())
 
     # -- writes (called while holding the database latch) -------------------
 
@@ -336,32 +392,31 @@ class TableData:
 
     def apply_insert(self, rowid: int, values: tuple, commit_ts: float) -> None:
         """Add a new row; the committer has checked its primary key."""
-        self._append_version(rowid, Version(commit_ts, values))
+        self._append_version(rowid, commit_ts, values)
 
     def apply_update(self, rowid: int, values: tuple, commit_ts: float) -> None:
-        self._append_version(rowid, Version(commit_ts, values))
+        self._append_version(rowid, commit_ts, values)
 
     def apply_delete(self, rowid: int, commit_ts: float) -> None:
-        self._append_version(rowid, Version(commit_ts, None))
+        self._append_version(rowid, commit_ts, None)
 
-    def _append_version(self, rowid: int, version: Version) -> None:
-        chain = self._versions.setdefault(rowid, [])
-        chain.append(version)
-        if len(chain) > 1:
+    def _append_version(self, rowid: int, commit_ts: float,
+                        values: Optional[tuple]) -> None:
+        chains = self._chains
+        chain = chains.get(rowid)
+        if chain is None:
+            chains[rowid] = ((commit_ts, values),)
+        else:
+            chains[rowid] = chain + ((commit_ts, values),)
             self._multiversion_rows.add(rowid)
-        values = version.values
         if values is not None:
             indexes = self._indexes
             for name, key_of in self._key_of.items():
                 key = key_of(values)
-                entries = indexes[name]
-                bucket = entries.get(key)
-                if bucket is None:
-                    entries[key] = bucket = set()
+                if _bucket_add(indexes[name], key, rowid):
                     ordered = self._ordered.get(name)
                     if ordered is not None:
                         ordered.add(key)
-                bucket.add(rowid)
 
     # -- garbage collection --------------------------------------------------
 
@@ -373,53 +428,50 @@ class TableData:
         (the newer one shadows it for every current and future reader).
         """
         dropped = 0
+        chains = self._chains
         finished: list[int] = []
-        for rowid in list(self._multiversion_rows):
-            chain = self._versions.get(rowid)
-            if not chain or len(chain) == 1:
+        for rowid in self._multiversion_rows:
+            chain = chains.get(rowid)
+            if chain is None or len(chain) == 1:
                 finished.append(rowid)
                 continue
             # Find the newest version visible at the oldest snapshot.
             keep_from = 0
-            for i, version in enumerate(chain):
-                if version.begin_ts <= min_active_snapshot:
+            for i, (begin_ts, _values) in enumerate(chain):
+                if begin_ts <= min_active_snapshot:
                     keep_from = i
             removed, kept = chain[:keep_from], chain[keep_from:]
             if removed:
-                self._versions[rowid] = kept
+                chains[rowid] = kept
                 dropped += len(removed)
                 self._clean_index_entries(rowid, removed, kept)
             if len(kept) == 1:
-                if kept[0].is_tombstone:
+                if kept[0][1] is None:
                     # Row fully dead: remove storage and any index entries.
-                    self._clean_index_entries(rowid, kept, [])
-                    del self._versions[rowid]
+                    self._clean_index_entries(rowid, kept, ())
+                    del chains[rowid]
                 finished.append(rowid)
-        for rowid in finished:
-            self._multiversion_rows.discard(rowid)
+        self._multiversion_rows.difference_update(finished)
         return dropped
 
-    def _clean_index_entries(self, rowid: int, removed: list[Version],
-                             kept: list[Version]) -> None:
+    def _clean_index_entries(self, rowid: int, removed: tuple,
+                             kept: tuple) -> None:
         for name, key_of in self._key_of.items():
-            kept_keys = {key_of(v.values) for v in kept if v.values is not None}
+            kept_keys = {key_of(values) for _ts, values in kept
+                         if values is not None}
             entries = self._indexes[name]
-            for version in removed:
-                if version.values is None:
+            for _ts, values in removed:
+                if values is None:
                     continue
-                key = key_of(version.values)
+                key = key_of(values)
                 if key in kept_keys:
                     continue
-                bucket = entries.get(key)
-                if bucket is not None:
-                    bucket.discard(rowid)
-                    if not bucket:
-                        del entries[key]
-                        ordered = self._ordered.get(name)
-                        if ordered is not None:
-                            ordered.remove(key)
+                if _bucket_discard(entries, key, rowid):
+                    ordered = self._ordered.get(name)
+                    if ordered is not None:
+                        ordered.remove(key)
 
     # -- stats ----------------------------------------------------------------
 
     def version_count(self) -> int:
-        return sum(len(chain) for chain in self._versions.values())
+        return sum(len(chain) for chain in self._chains.values())

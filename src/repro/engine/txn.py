@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import IntegrityError, ProgrammingError, SerializationError
-from .storage import READ_LATEST, TableData, Version
+from .storage import READ_LATEST, TableData
 
 SERIALIZABLE = "serializable"
 SNAPSHOT = "snapshot"
@@ -109,13 +109,14 @@ class Transaction:
             self.workspace[(table, rowid)] = WriteOp(DELETE, None)
         self.stats.rows_deleted += 1
 
-    def effective_version(self, table: str, data: TableData,
-                          rowid: int) -> Optional[Version]:
-        """Row state as seen by this transaction (workspace overlay)."""
+    def effective_values(self, table: str, data: TableData,
+                         rowid: int) -> Optional[tuple]:
+        """Row values as this transaction sees them (workspace overlay);
+        None when the row is deleted or not visible to it."""
         pending = self.workspace.get((table, rowid))
         if pending is not None:
-            return Version(self.snapshot_ts, pending.values)
-        return data.visible_version(rowid, self.snapshot_ts)
+            return pending.values
+        return data.visible_values(rowid, self.snapshot_ts)
 
     @property
     def read_only(self) -> bool:
@@ -212,8 +213,8 @@ class TransactionManager:
                         f"concurrent insert of key {key!r} "
                         f"into {table_name!r}")
                 continue
-            latest = tables[table_name].latest_version(rowid)
-            if latest is not None and latest.begin_ts > txn.snapshot_ts:
+            latest_ts = tables[table_name].latest_begin_ts(rowid)
+            if latest_ts is not None and latest_ts > txn.snapshot_ts:
                 raise SerializationError(
                     f"write-write conflict on {table_name!r} row {rowid}")
 

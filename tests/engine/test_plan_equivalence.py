@@ -122,6 +122,14 @@ SELECT_CASES = [
     # || binds tighter than * and +: 2 * ('3' || '4') = 68.
     ("SELECT 2 * 3 || 4", ()),
     ("SELECT 1 + 2 || 3, 1 || 2 * 3", ()),
+    # Arithmetic reads a string's numeric prefix, or 0 when it has none.
+    ("SELECT -name FROM items", ()),
+    ("SELECT '1_000' + 0, '12abc' + 1, 'abc' * 2, -'ant'", ()),
+    ("SELECT ' 12 ' + 0, '1.5x' + 1, '.5' + 0, '1e2x' + 0, '1e' + 0, "
+     "'0x10' + 0", ()),
+    ("SELECT '9223372036854775807' + 0, '9223372036854775808' + 0, "
+     "'7abc' % 4, '3' / '2', -'12x', -'1.5'", ()),
+    ("SELECT id, name + grp FROM items ORDER BY id", ()),
     # HAVING without GROUP BY: the whole input is one group.
     ("SELECT count(*) FROM items HAVING count(*) > 1", ()),
     ("SELECT count(*) FROM items HAVING count(*) > 10", ()),
@@ -184,7 +192,6 @@ ENGINE_ONLY_CASES = [
     ("SELECT 1 / 0", DataError, "division by zero"),
     ("SELECT 1 % 0", DataError, "modulo by zero"),
     ("SELECT id / 0 FROM items", DataError, "division by zero"),
-    ("SELECT -name FROM items", DataError, "cannot negate 'ant'"),
     ("SELECT id FROM items ORDER BY 3", ProgrammingError,
      "ORDER BY position 3 out of range"),
     ("SELECT id FROM items LIMIT -1", ProgrammingError,

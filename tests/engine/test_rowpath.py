@@ -44,7 +44,7 @@ def test_probes_never_mutate_the_committed_bucket(grouped):
     assert set(bucket) == committed
     assert data.index_lookup("idx_grp", (10,)) is bucket
     conn.rollback()
-    assert data.index_lookup("idx_grp", (10,)) == committed
+    assert set(data.index_lookup("idx_grp", (10,))) == committed
     assert data.index_lookup("__pk__", (4,)) == set()
     assert sorted(execute(conn, "SELECT id, val FROM t WHERE grp = 10")
                   .fetchall()) == [(1, 0), (2, 0)]

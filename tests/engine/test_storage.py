@@ -1,12 +1,18 @@
 """Version-chain storage and conservative index maintenance."""
 
+import gc
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import Database, connect
 from repro.engine.catalog import ColumnDef, IndexDef, TableSchema
-from repro.engine.storage import (READ_LATEST, TOP, SortedKeys, TableData,
-                                  Version, orderable)
+from repro.engine.storage import (BUCKET_TUPLE_MAX, READ_LATEST, TOP,
+                                  SortedKeys, TableData, orderable)
 from repro.engine.types import SqlType
+
+from ..conftest import execute
 
 
 def make_table(with_secondary=True):
@@ -25,8 +31,8 @@ def test_insert_and_visible_version():
     data = make_table()
     rowid = data.new_rowid()
     data.apply_insert(rowid, (1, 10, "a"), commit_ts=1.0)
-    version = data.visible_version(rowid, READ_LATEST)
-    assert version.values == (1, 10, "a")
+    assert data.visible_values(rowid, READ_LATEST) == (1, 10, "a")
+    assert data.latest_values(rowid) == (1, 10, "a")
 
 
 def test_snapshot_visibility_by_timestamp():
@@ -34,10 +40,10 @@ def test_snapshot_visibility_by_timestamp():
     rowid = data.new_rowid()
     data.apply_insert(rowid, (1, 10, "a"), commit_ts=1.0)
     data.apply_update(rowid, (1, 10, "b"), commit_ts=5.0)
-    assert data.visible_version(rowid, 1.0).values[2] == "a"
-    assert data.visible_version(rowid, 4.9).values[2] == "a"
-    assert data.visible_version(rowid, 5.0).values[2] == "b"
-    assert data.visible_version(rowid, 0.5) is None
+    assert data.visible_values(rowid, 1.0)[2] == "a"
+    assert data.visible_values(rowid, 4.9)[2] == "a"
+    assert data.visible_values(rowid, 5.0)[2] == "b"
+    assert data.visible_values(rowid, 0.5) is None
 
 
 def test_tombstone_hides_row():
@@ -45,8 +51,11 @@ def test_tombstone_hides_row():
     rowid = data.new_rowid()
     data.apply_insert(rowid, (1, 10, "a"), commit_ts=1.0)
     data.apply_delete(rowid, commit_ts=2.0)
-    assert data.visible_version(rowid, READ_LATEST).is_tombstone
-    assert data.visible_version(rowid, 1.5).values == (1, 10, "a")
+    # The latest version is a tombstone: the row has one, but no values.
+    assert data.latest_begin_ts(rowid) == 2.0
+    assert data.visible_values(rowid, READ_LATEST) is None
+    assert data.latest_values(rowid) is None
+    assert data.visible_values(rowid, 1.5) == (1, 10, "a")
 
 
 def test_pk_reusable_after_delete():
@@ -78,7 +87,7 @@ def test_prune_respects_active_snapshots():
     data.apply_update(rowid, (1, 10, "b"), commit_ts=5.0)
     dropped = data.prune(min_active_snapshot=2.0)  # snapshot still needs v1
     assert dropped == 0
-    assert data.visible_version(rowid, 2.0).values[2] == "a"
+    assert data.visible_values(rowid, 2.0)[2] == "a"
     dropped = data.prune(min_active_snapshot=READ_LATEST)
     assert dropped == 1
 
@@ -89,7 +98,7 @@ def test_prune_removes_fully_dead_rows():
     data.apply_insert(rowid, (1, 10, "a"), commit_ts=1.0)
     data.apply_delete(rowid, commit_ts=2.0)
     data.prune(min_active_snapshot=READ_LATEST)
-    assert data.visible_version(rowid, READ_LATEST) is None
+    assert data.latest_begin_ts(rowid) is None
     assert data.index_lookup("idx_grp", (10,)) == set()
     assert data.pk_lookup_latest((1,)) is None
     assert data.count_live() == 0
@@ -223,3 +232,139 @@ def test_ordered_keys_match_hash_keys(ops):
         if built:
             _assert_orders_match_hash_keys(data, names)
     _assert_orders_match_hash_keys(data, names)
+
+
+# -- collector footprint and bucket representation ---------------------------
+
+
+def _load_footprint_table(n):
+    """``n`` rows, half bulk-loaded and half inserted through SQL, in a
+    table with a primary key, a near-unique index (two rows a key) and a
+    low-cardinality one (four keys); then an update that rekeys a
+    quarter of the rows, a delete of another quarter, and a prune."""
+    db = Database()
+    conn = connect(db)
+    execute(conn, "CREATE TABLE f (id INT PRIMARY KEY, near INT, grp INT, "
+                  "val VARCHAR(8))")
+    execute(conn, "CREATE INDEX idx_near ON f (near)")
+    execute(conn, "CREATE INDEX idx_grp ON f (grp)")
+    conn.commit()
+    half = n // 2
+    db.bulk_insert("f", [(i, i // 2, i % 4, "bulk") for i in range(half)])
+    for start in range(half, n, 100):
+        conn.cursor().executemany(
+            "INSERT INTO f VALUES (?, ?, ?, ?)",
+            [(i, i // 2, i % 4, "sql")
+             for i in range(start, min(start + 100, n))])
+        conn.commit()
+    execute(conn, "UPDATE f SET near = near + 1, val = 'moved' "
+                  "WHERE grp = 0")
+    execute(conn, "DELETE FROM f WHERE grp = 1")
+    conn.commit()
+    data = db.table_data("f")
+    data.prune(READ_LATEST)
+    conn.close()
+    return db, data
+
+
+def _tracked_objects():
+    # A collection untracks a tuple only if its items are untracked
+    # already, and it may visit a pair before the values inside it: one
+    # collection per nesting level (values, pair, chain) settles them.
+    for _ in range(3):
+        gc.collect()
+    return len(gc.get_objects())
+
+
+def _tracked_growth(n):
+    """Tracked objects a loaded table of ``n`` rows adds, and the table."""
+    before = _tracked_objects()
+    db, data = _load_footprint_table(n)
+    return _tracked_objects() - before, data
+
+
+def test_stored_rows_cost_the_collector_a_constant():
+    small, _ = _tracked_growth(2_000)
+    large, data = _tracked_growth(20_000)
+    assert data.count_live() == 15_000
+    # Every row chain and every bucket under the limit is an exact tuple
+    # of atomic values, which a collection stops tracking.
+    assert not any(gc.is_tracked(chain) for chain in data._chains.values())
+    for entries in data._indexes.values():
+        for bucket in entries.values():
+            if len(bucket) <= BUCKET_TUPLE_MAX:
+                assert type(bucket) is tuple
+                assert not gc.is_tracked(bucket)
+    # Ten times the rows: the same handful of tracked objects (the four
+    # low-cardinality buckets are sets, whatever the row count).
+    assert large - small < 64
+
+
+_bucket_op = st.tuples(
+    st.sampled_from(["insert", "insert", "update", "delete", "prune"]),
+    st.integers(0, 49),      # id
+    st.integers(0, 1),       # grp: two keys, so buckets cross the limit
+    st.integers(0, 4))       # how far back a prune's horizon reaches
+
+
+# Long sequences: a key needs more than BUCKET_TUPLE_MAX rows to cross.
+@given(ops=st.lists(_bucket_op, min_size=60, max_size=300))
+@settings(deadline=None)
+def test_buckets_across_the_tuple_set_boundary(ops):
+    """A low-cardinality index under inserts, rekeying updates, deletes
+    and prunes holds, under each key, exactly the rowids with a retained
+    version carrying that key; a bucket is a tuple up to the limit."""
+    data = make_table()
+    live: dict[int, int] = {}  # id -> rowid
+    # rowid -> retained (begin_ts, grp or None for a tombstone) versions.
+    retained: dict[int, list] = {}
+    ts = 0.0
+    for kind, ident, grp, back in ops:
+        ts += 1.0
+        if kind == "insert" and ident not in live:
+            rowid = live[ident] = data.new_rowid()
+            data.apply_insert(rowid, (ident, grp, "v"), ts)
+            retained[rowid] = [(ts, grp)]
+        elif kind == "update" and ident in live:
+            data.apply_update(live[ident], (ident, grp, "v"), ts)
+            retained[live[ident]].append((ts, grp))
+        elif kind == "delete" and ident in live:
+            rowid = live.pop(ident)
+            data.apply_delete(rowid, ts)
+            retained[rowid].append((ts, None))
+        elif kind == "prune":
+            horizon = ts - back if back else READ_LATEST
+            data.prune(horizon)
+            for rowid, versions in list(retained.items()):
+                keep_from = max([i for i, (begin, _) in enumerate(versions)
+                                 if begin <= horizon], default=0)
+                del versions[:keep_from]
+                if len(versions) == 1 and versions[0][1] is None:
+                    del retained[rowid]
+        for key in range(2):
+            bucket = data.index_lookup("idx_grp", (key,))
+            expected = {rowid for rowid, versions in retained.items()
+                        if any(g == key for _, g in versions)}
+            assert set(bucket) == expected
+            assert len(bucket) == len(expected)
+            assert (type(bucket) is tuple) == (
+                0 < len(expected) <= BUCKET_TUPLE_MAX)
+
+
+def _load_one_index_key(n, key_of_row):
+    data = make_table()
+    start = time.process_time()
+    for i in range(n):
+        data.apply_insert(data.new_rowid(), (i, key_of_row(i), "v"), 1.0)
+    return data, time.process_time() - start
+
+
+def test_one_key_load_stays_linear():
+    # A key's bucket becomes a set past the limit, so 50k rows under one
+    # key load about as fast as 50k rows under distinct keys; appending
+    # to a tuple each time would copy ~10 GB.
+    _, distinct = _load_one_index_key(50_000, lambda i: i)
+    data, one_key = _load_one_index_key(50_000, lambda i: 0)
+    bucket = data.index_lookup("idx_grp", (0,))
+    assert type(bucket) is set and len(bucket) == 50_000
+    assert one_key < 4 * distinct + 0.2

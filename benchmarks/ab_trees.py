@@ -7,7 +7,10 @@ and alternates fixed chunks of TPC-C transactions between them, so each
 chunk pair sees the same host conditions.  Both sides load the same data
 (perfbench's tpcc-sim sizes) and draw the same transaction stream from
 equal seeds; each chunk is timed in process CPU time from a collected
-heap, and which side runs first alternates from chunk to chunk.
+heap, and which side runs first alternates from chunk to chunk.  Each
+side's connection is wrapped in its tree's ``FaultingConnection``
+(unarmed), as every executor worker's is, so the ratio includes the
+cost of the wrapper's statement path.
 
     python benchmarks/ab_trees.py PARENT_TREE CHANGE_TREE \\
         [--chunks 40] [--mixture 45/43/4/4/4]
@@ -62,6 +65,7 @@ def load(tree: Path) -> dict:
         import repro.benchmarks.tpcc  # noqa: F401
         import repro.core.procedure  # noqa: F401
         import repro.engine  # noqa: F401
+        import repro.faults  # noqa: F401
     finally:
         sys.path.remove(path)
     return {name: sys.modules[name] for name in _repro_names()}
@@ -89,7 +93,9 @@ class Side:
         self.bench = tpcc.TpccBenchmark(engine.Database(), seed=SEED,
                                         **SIZES)
         self.bench.load()
-        self.conn = engine.connect(self.bench.database)
+        # Wrapped as executors._open_worker wraps a worker's connection.
+        self.conn = self.modules["repro.faults"].FaultingConnection(
+            engine.connect(self.bench.database))
         self.rng = random.Random(SEED)
         self.times: list[float] = []
 

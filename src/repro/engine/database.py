@@ -52,11 +52,11 @@ class PreparedStatement:
     """A parsed statement plus its compiled plan (None for DDL/control).
 
     Produced by :meth:`Database.prepare_exec`, which keeps the planned
-    ones in the plan cache; the DB-API layer holds one per
-    ``executemany`` call so even the cache lookup is paid once.
+    ones in the plan cache.  ``n_params`` is the number of ``?`` markers,
+    which the DB-API cursor checks the parameters against.
     """
 
-    __slots__ = ("sql", "stmt", "plan", "is_ddl", "is_control")
+    __slots__ = ("sql", "stmt", "plan", "is_ddl", "is_control", "n_params")
 
     def __init__(self, sql: str, stmt: ast.Statement, plan: object) -> None:
         self.sql = sql
@@ -65,6 +65,7 @@ class PreparedStatement:
         self.is_ddl = isinstance(
             stmt, (ast.CreateTable, ast.CreateIndex, ast.DropTable))
         self.is_control = isinstance(stmt, ast.TransactionControl)
+        self.n_params = ast.count_params(stmt)
 
 
 class Database:

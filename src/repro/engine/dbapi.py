@@ -16,6 +16,7 @@ is available for loaders and ad-hoc queries.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set as AbstractSet
 from typing import Iterator, Optional, Sequence
 
 from ..errors import (
@@ -69,10 +70,11 @@ class Connection:
 
     def commit(self) -> None:
         self._check_open()
-        if self._txn is not None and self._txn.active:
+        txn = self._txn
+        if txn is not None and txn.active:
             try:
-                self.last_txn_stats = self._txn.stats
-                self._db.commit(self._txn)
+                self.last_txn_stats = txn.stats
+                self._db.commit(txn)
             finally:
                 self._txn = None
         else:
@@ -80,9 +82,10 @@ class Connection:
 
     def rollback(self) -> None:
         self._check_open()
-        if self._txn is not None and self._txn.active:
-            self.last_txn_stats = self._txn.stats
-            self._db.rollback(self._txn)
+        txn = self._txn
+        if txn is not None and txn.active:
+            self.last_txn_stats = txn.stats
+            self._db.rollback(txn)
         self._txn = None
 
     def close(self) -> None:
@@ -122,37 +125,24 @@ class Connection:
         if self._closed:
             raise InterfaceError("connection is closed")
 
-    def _ensure_txn(self) -> Transaction:
-        if self._txn is None or not self._txn.active:
-            self._txn = self._db.begin(self.isolation)
-        return self._txn
 
-    def _prepare(self, sql: str):
-        self._check_open()
-        return self._db.prepare_exec(sql)
+def _param_tuple(params: object) -> tuple:
+    """``params`` as a tuple; refused, as sqlite3 refuses it, when it is
+    a string, a mapping or a set (whose order is arbitrary)."""
+    if isinstance(params, (str, bytes)):
+        raise ProgrammingError("params must be a sequence, not a string")
+    if isinstance(params, (Mapping, AbstractSet)):
+        raise ProgrammingError(
+            f"params must be a sequence, not a {type(params).__name__}")
+    return tuple(params)
 
-    def _execute(self, sql: str, params: Sequence[object]):
-        self._check_open()
-        return self._execute_prepared(self._db.prepare_exec(sql), params)
 
-    def _execute_prepared(self, prepared, params: Sequence[object]):
-        if prepared.is_ddl:
-            if self._txn is not None and self._txn.active:
-                raise ProgrammingError(
-                    "DDL is not allowed inside an open transaction")
-            return self._db.execute_prepared(None, prepared, params)
-        txn = self._ensure_txn()
-        try:
-            result = self._db.execute_prepared(txn, prepared, params)
-        except OperationalError:
-            # Engine-initiated aborts (deadlock, timeout, serialization)
-            # leave the transaction dead; roll back so the next statement
-            # starts fresh, mirroring JDBC driver behaviour.
-            self.rollback()
-            raise
-        if self.autocommit:
-            self.commit()
-        return result
+def _count_error(expected: int, got: int) -> ProgrammingError:
+    if got < expected:
+        return ProgrammingError(
+            f"statement expects at least {expected} parameters, got {got}")
+    return ProgrammingError(
+        f"statement expects {expected} parameters, got {got}")
 
 
 class Cursor:
@@ -171,43 +161,68 @@ class Cursor:
     # -- execution --------------------------------------------------------
 
     def execute(self, sql: str, params: Sequence[object] = ()) -> "Cursor":
-        self._check_open()
-        if isinstance(params, (str, bytes)):
-            raise ProgrammingError("params must be a sequence, not a string")
-        result = self.connection._execute(sql, tuple(params))
-        self._load(result)
-        return self
+        """Run one statement: a warm one is a plan-cache hit and one
+        :meth:`Database.execute_prepared` call.
 
-    def executemany(self, sql: str,
-                    seq_of_params: Sequence[Sequence[object]]) -> "Cursor":
-        """Prepare/plan once, then loop executions over the parameters.
-
-        Per-item transaction semantics are identical to calling
-        :meth:`execute` in a loop (autocommit commits each item;
-        engine aborts roll back); only the per-item parse/plan work
-        is hoisted out.
+        The parameters must match the statement's ``?`` markers in
+        number.  A planned statement opens the connection's transaction
+        if none is open; DDL runs outside any transaction.
         """
-        self._check_open()
-        prepared = self.connection._prepare(sql)
-        total = 0
-        for params in seq_of_params:
-            if isinstance(params, (str, bytes)):
-                raise ProgrammingError(
-                    "params must be a sequence, not a string")
+        conn = self.connection
+        if self._closed or conn._closed:
             self._check_open()
-            result = self.connection._execute_prepared(prepared,
-                                                       tuple(params))
-            self._load(result)
-            if self.rowcount > 0:
-                total += self.rowcount
-        self.rowcount = total
-        return self
-
-    def _load(self, result) -> None:
+        db = conn._db
+        prepared = db.prepare_exec(sql)
+        if type(params) is not tuple:
+            params = _param_tuple(params)
+        if len(params) != prepared.n_params:
+            raise _count_error(prepared.n_params, len(params))
+        if prepared.plan is None:
+            # DDL, or transaction control, which execute_prepared refuses.
+            if prepared.is_ddl and conn.in_transaction:
+                raise ProgrammingError(
+                    "DDL is not allowed inside an open transaction")
+            result = db.execute_prepared(None, prepared, params)
+        else:
+            txn = conn._txn
+            if txn is None or not txn.active:
+                txn = conn._txn = db.begin(conn.isolation)
+            try:
+                result = db.execute_prepared(txn, prepared, params)
+            except OperationalError:
+                # Engine-initiated aborts (deadlock, timeout,
+                # serialization) leave the transaction dead; roll back so
+                # the next statement starts fresh, as JDBC drivers do.
+                conn.rollback()
+                raise
+            if conn.autocommit:
+                conn.commit()
         self._rows = result.rows
         self._pos = 0
         self.rowcount = result.rowcount
         self._columns = result.columns
+        return self
+
+    def executemany(self, sql: str,
+                    seq_of_params: Sequence[Sequence[object]]) -> "Cursor":
+        """Run ``sql`` once per parameter sequence, each run as
+        :meth:`execute` runs it (autocommit commits each; an engine abort
+        rolls back); ``rowcount`` is the total.
+
+        The statement is planned once: later runs hit the plan cache.
+        """
+        if self._closed or self.connection._closed:
+            self._check_open()
+        # This class's execute, not an override: a subclass that wraps
+        # execute sees one executemany call as one statement.
+        execute = Cursor.execute
+        total = 0
+        for params in seq_of_params:
+            execute(self, sql, params)
+            if self.rowcount > 0:
+                total += self.rowcount
+        self.rowcount = total
+        return self
 
     @property
     def description(self) -> Optional[list[tuple]]:
@@ -220,15 +235,18 @@ class Cursor:
     # -- fetching -----------------------------------------------------------
 
     def fetchone(self) -> Optional[tuple]:
-        self._check_open()
-        if self._pos >= len(self._rows):
+        if self._closed or self.connection._closed:
+            self._check_open()
+        pos = self._pos
+        rows = self._rows
+        if pos >= len(rows):
             return None
-        row = self._rows[self._pos]
-        self._pos += 1
-        return row
+        self._pos = pos + 1
+        return rows[pos]
 
     def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
-        self._check_open()
+        if self._closed or self.connection._closed:
+            self._check_open()
         if size is None:
             size = self.arraysize
         chunk = self._rows[self._pos:self._pos + size]
@@ -236,7 +254,8 @@ class Cursor:
         return chunk
 
     def fetchall(self) -> list[tuple]:
-        self._check_open()
+        if self._closed or self.connection._closed:
+            self._check_open()
         remaining = self._rows[self._pos:]
         self._pos = len(self._rows)
         return remaining
@@ -261,6 +280,8 @@ class Cursor:
         pass
 
     def _check_open(self) -> None:
+        """Raise if the cursor or its connection is closed; the hot
+        paths test both flags inline and call this only to raise."""
         if self._closed:
             raise InterfaceError("cursor is closed")
         self.connection._check_open()

@@ -22,7 +22,8 @@ plan; there is one execution path per statement kind:
 * an INSERT locks its primary key, never its new rowid, which no other
   transaction can reach before commit;
 * aggregation/grouping, DISTINCT, ORDER BY, and LIMIT/OFFSET are applied
-  to the materialised row set.
+  to the materialised row set; a one-table SELECT with none of them
+  projects each row as its scan returns it.
 
 Like most lightweight engines, predicate locks are not implemented, so
 phantom protection is limited to primary-key locking on inserts; DESIGN.md
@@ -31,7 +32,6 @@ phantom protection is limited to primary-key locking on inserts; DESIGN.md
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence, TYPE_CHECKING
 
 from ..errors import IntegrityError, ProgrammingError
@@ -47,13 +47,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .database import Database
 
 
-@dataclass
 class Result:
     """Outcome of one statement execution."""
 
-    rows: list[tuple] = field(default_factory=list)
-    columns: list[str] = field(default_factory=list)
-    rowcount: int = -1
+    __slots__ = ("rows", "columns", "rowcount")
+
+    def __init__(self, rows: Optional[list[tuple]] = None,
+                 columns: Optional[list[str]] = None,
+                 rowcount: int = -1) -> None:
+        self.rows = [] if rows is None else rows
+        self.columns = [] if columns is None else columns
+        self.rowcount = rowcount
 
 
 class Executor:
@@ -101,9 +105,19 @@ class Executor:
         if n_sources == 1:
             # One table needs no join driver: the first source is
             # always an inner one, so it has no post filter either.
-            contexts = [(values,) for _rowid, values in plan_scan(
-                txn, sources[0], rows, params, lock_mode, take_locks,
-                count_db_reads=True, stop_after=stop_after)]
+            scanned = plan_scan(txn, sources[0], rows, params, lock_mode,
+                                take_locks, count_db_reads=True,
+                                stop_after=stop_after)
+            if plan.direct:
+                # Nothing to group, sort, dedupe or cut: each scanned
+                # row is projected as is.
+                project = plan.project_fn
+                out = []
+                for _rowid, values in scanned:
+                    rows[0] = values
+                    out.append(project(rows, params))
+                return Result(out, plan.columns, len(out))
+            contexts = [(values,) for _rowid, values in scanned]
         else:
             contexts = []
 

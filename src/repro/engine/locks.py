@@ -96,7 +96,6 @@ class LockManager:
         rather than through the condition's Python-level ``__enter__``.
         """
         with self._mutex:
-            self._txn_thread[txn] = threading.get_ident()
             entry = self._entries.get(resource)
             if entry is None:
                 # Uncontended: no one holds or awaits the resource.
@@ -109,7 +108,10 @@ class LockManager:
             if self._grantable(entry, txn, mode):
                 self._grant(entry, txn, resource, mode)
                 return True
-            # Must wait; the timeout runs from here.
+            # Must wait; the timeout runs from here.  The self-wait check
+            # reads each transaction's thread, noted at its first grant
+            # and again before each of its waits.
+            self._txn_thread[txn] = threading.get_ident()
             self.stats.waits += 1
             entry.waiters.append((txn, mode))
             wait_started = self._now()
@@ -144,12 +146,12 @@ class LockManager:
                 except ValueError:
                     pass
                 self.stats.wait_time += self._now() - wait_started
-                self._condition.notify_all()
+                if self._waits_for:
+                    self._condition.notify_all()
 
     def try_acquire(self, txn: object, resource: Hashable, mode: str) -> bool:
         """Non-blocking acquire; returns False instead of waiting."""
-        with self._condition:
-            self._txn_thread[txn] = threading.get_ident()
+        with self._mutex:
             entry = self._entries.get(resource)
             if entry is None:
                 entry = self._entries[resource] = _LockEntry()
@@ -162,18 +164,23 @@ class LockManager:
             return False
 
     def release_all(self, txn: object) -> None:
-        """Release every lock held by ``txn`` (strict 2PL release point)."""
+        """Release every lock held by ``txn`` (strict 2PL release point).
+
+        Waiters are woken only if some transaction is waiting: every
+        waiter has a waits-for entry for as long as it waits.
+        """
         with self._mutex:
-            for resource in self._held.pop(txn, set()):
+            for resource in self._held.pop(txn, ()):
                 entry = self._entries.get(resource)
                 if entry is None:
                     continue
                 entry.holders.pop(txn, None)
                 if not entry.holders and not entry.waiters:
                     del self._entries[resource]
-            self._waits_for.pop(txn, None)
             self._txn_thread.pop(txn, None)
-            self._condition.notify_all()
+            if self._waits_for:
+                self._waits_for.pop(txn, None)
+                self._condition.notify_all()
 
     def held_by(self, txn: object) -> set[Hashable]:
         with self._mutex:
@@ -215,7 +222,9 @@ class LockManager:
         entry.holders[txn] = mode
         held = self._held.get(txn)
         if held is None:
+            # The transaction's first grant: note its thread.
             self._held[txn] = held = set()
+            self._txn_thread[txn] = threading.get_ident()
         held.add(resource)
         self.stats.acquisitions += 1
 

@@ -693,6 +693,9 @@ class CompiledSelect:
     offset_fn: Optional[ExprFn]
     #: Table-less SELECT only: its WHERE; None accepts the one row.
     where_fn: Optional[ExprFn] = None
+    #: One table and no aggregate, ORDER BY, DISTINCT, LIMIT or OFFSET:
+    #: the executor projects each scanned row straight into the output.
+    direct: bool = False
 
 
 @dataclass(frozen=True)
@@ -1032,7 +1035,10 @@ def _compile_select(stmt: ast.Select, catalog: Catalog) -> CompiledSelect:
         scalar=False, sources=sources, for_update=stmt.for_update,
         columns=columns, project_fn=project_fn, aggregation=aggregation,
         order_keys=order_keys, distinct=stmt.distinct, limit_fn=limit_fn,
-        offset_fn=offset_fn)
+        offset_fn=offset_fn,
+        direct=(len(sources) == 1 and aggregation is None
+                and not order_keys and not stmt.distinct
+                and limit_fn is None and offset_fn is None))
 
 
 def _aggregate_scope(scope: Scope, aggs: list[CompiledAggregate]) -> Scope:

@@ -13,12 +13,20 @@ released the way a server-side abort releases them.
 A fired disconnect leaves the connection *dropped*: every subsequent
 operation raises :class:`~repro.errors.InjectedDisconnect` until the
 retry loop acknowledges the drop with :meth:`reconnect`.
+
+Its cursors are engine cursors that override only ``execute`` and
+``executemany``: fetches, ``rowcount``, ``description`` and ``arraysize``
+are the engine cursor's own.  While no plan is armed and the connection
+is not dropped, a statement costs one flag test over the bare cursor;
+the statement count restarts at every :meth:`FaultingConnection.arm`, so
+it is kept only while a plan is armed.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..engine.dbapi import Cursor
 from ..errors import (InjectedAbort, InjectedDisconnect, InjectedLockTimeout)
 from .injector import FaultPlan, KIND_ABORT, KIND_DISCONNECT, KIND_LOCK_TIMEOUT
 
@@ -79,6 +87,10 @@ class FaultingConnection:
                 "connection is dropped; reconnect before reusing it")
 
     def _statement_boundary(self) -> None:
+        """Count one statement; fire the armed plan at its index.
+
+        Called only while a plan is armed or the connection is dropped.
+        """
         self._check_dropped()
         plan = self._plan
         if plan is not None and self._statements >= plan.at_statement:
@@ -89,7 +101,8 @@ class FaultingConnection:
 
     def cursor(self) -> "FaultingCursor":
         self._check_dropped()
-        return FaultingCursor(self._conn.cursor(), self)
+        self._conn._check_open()
+        return FaultingCursor(self._conn, self)
 
     def commit(self) -> None:
         self._check_dropped()
@@ -127,28 +140,24 @@ class FaultingConnection:
         return getattr(self._conn, name)
 
 
-class FaultingCursor:
-    """Cursor proxy that reports statement boundaries to its connection."""
+class FaultingCursor(Cursor):
+    """Engine cursor that reports statement boundaries to its owner."""
 
-    def __init__(self, cursor, owner: FaultingConnection) -> None:
-        self._cursor = cursor
+    def __init__(self, connection, owner: FaultingConnection) -> None:
+        super().__init__(connection)
         self._owner = owner
 
     def execute(self, sql: str, params: Sequence[object] = ()
                 ) -> "FaultingCursor":
-        self._owner._statement_boundary()
-        self._cursor.execute(sql, params)
-        return self
+        owner = self._owner
+        if owner._plan is not None or owner._dropped:
+            owner._statement_boundary()
+        return Cursor.execute(self, sql, params)
 
     def executemany(self, sql: str,
                     seq_of_params: Sequence[Sequence[object]]
                     ) -> "FaultingCursor":
-        self._owner._statement_boundary()
-        self._cursor.executemany(sql, seq_of_params)
-        return self
-
-    def __iter__(self):
-        return iter(self._cursor)
-
-    def __getattr__(self, name: str):
-        return getattr(self._cursor, name)
+        owner = self._owner
+        if owner._plan is not None or owner._dropped:
+            owner._statement_boundary()
+        return Cursor.executemany(self, sql, seq_of_params)

@@ -78,6 +78,21 @@ def test_executemany(loaded):
     assert cur.fetchone() == (6,)
 
 
+def test_executemany_checks_every_row(loaded):
+    cur = loaded.cursor()
+    for rows, message in [
+            ([(20, "a"), (21, "b", "extra")],
+             "statement expects 2 parameters, got 3"),
+            ([(22, "c"), {"a": 23, "b": "d"}],
+             "params must be a sequence, not a dict"),
+            ([(24, "e"), (25,)],
+             "statement expects at least 2 parameters, got 1")]:
+        with pytest.raises(ProgrammingError, match=message):
+            cur.executemany("INSERT INTO t VALUES (?, ?)", rows)
+        loaded.rollback()
+    assert execute(loaded, "SELECT COUNT(*) FROM t").fetchone() == (3,)
+
+
 def test_string_params_rejected(loaded):
     cur = loaded.cursor()
     with pytest.raises(ProgrammingError):

@@ -302,7 +302,29 @@ def test_compile_statement_resolves_join_probe(loaded):
     assert inner.index_probe.index_name == "idx_b"
 
 
-# -- executemany fast path (satellite) ---------------------------------------
+@pytest.mark.parametrize("sql,direct", [
+    ("SELECT c, a FROM t WHERE b = ?", True),
+    ("SELECT a + 1 FROM t FOR UPDATE", True),
+    ("SELECT a FROM t ORDER BY a", False),
+    ("SELECT DISTINCT b FROM t", False),
+    ("SELECT a FROM t LIMIT 2", False),
+    ("SELECT a FROM t LIMIT 2 OFFSET 1", False),
+    ("SELECT count(*) FROM t", False),
+    ("SELECT b FROM t GROUP BY b", False),
+    ("SELECT t1.a FROM t t1 JOIN t t2 ON t1.a = t2.b", False),
+    ("SELECT 1", False),
+])
+def test_direct_projection_only_without_post_processing(loaded, sql,
+                                                        direct):
+    """A one-table SELECT with nothing to group, sort, dedupe or cut
+    projects straight from its scan."""
+    db, conn = loaded
+    assert plan_of(db, sql).direct is direct
+    execute(conn, sql, (20,) if "?" in sql else ())
+    conn.rollback()
+
+
+# -- executemany ---------------------------------------------------------------
 
 
 def test_executemany_plans_once(loaded):

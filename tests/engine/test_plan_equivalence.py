@@ -185,6 +185,35 @@ def test_error_equivalence(twin, sql, params, kind, message):
     assert isinstance(twin.sqlite(sql, params).error, sqlite3.Error)
 
 
+#: (sql, params, engine message): parameters bind as sqlite3 binds qmark
+#: markers, by count and never from a mapping's keys or a set's
+#: arbitrary order.  Too few keeps the message of ERROR_CASES above.
+BINDING_CASES = [
+    ("SELECT id FROM items WHERE id = ?", (1, 2),
+     "statement expects 1 parameters, got 2"),
+    ("SELECT id FROM items", (1,),
+     "statement expects 0 parameters, got 1"),
+    ("INSERT INTO t VALUES (?, ?)", (7,),
+     "statement expects at least 2 parameters, got 1"),
+    ("INSERT INTO t VALUES (?, ?)", (7, 8, 9),
+     "statement expects 2 parameters, got 3"),
+    ("INSERT INTO t VALUES (?, ?)", {"a": 7, "b": 8},
+     "params must be a sequence, not a dict"),
+    ("INSERT INTO t VALUES (?, ?)", {7, 8},
+     "params must be a sequence, not a set"),
+]
+
+
+@pytest.mark.parametrize("sql,params,message", BINDING_CASES,
+                         ids=[f"{c[0]} {c[1]!r}" for c in BINDING_CASES])
+def test_binding_error_equivalence(twin, sql, params, message):
+    outcome = twin.engine(sql, params)
+    assert type(outcome.error) is ProgrammingError
+    assert str(outcome.error) == message
+    assert isinstance(twin.sqlite(sql, params).error, sqlite3.Error)
+    twin.check_table("t")  # a refused INSERT wrote nothing on either side
+
+
 #: Statements sqlite answers differently by design (it returns NULL on
 #: division by zero and has no typed arithmetic errors), with the
 #: engine's literal expected error.

@@ -9,7 +9,8 @@ container, then times a polling loop (windowed throughput + per-type
 quantiles, the altitude query the game issues every tick) through both
 paths and asserts the streaming side wins by ≥10×, while agreeing with
 the batch numbers: windowed throughput exactly, quantiles within the
-documented bin tolerance.
+documented bin tolerance.  The batch side is the exact reference in
+``tests/metrics/batch_reference.py``, run over ``results.samples()``.
 """
 
 from time import perf_counter
@@ -17,6 +18,7 @@ from time import perf_counter
 from repro.core.results import LatencySample, Results
 
 from conftest import once, report
+from metrics import batch_reference as ref  # tests/ is on sys.path
 
 N_SAMPLES = 100_000
 N_QUERIES = 50
@@ -42,10 +44,11 @@ def build_results(n: int = N_SAMPLES) -> Results:
 
 def batch_poll(results: Results, now: float) -> dict:
     """The old feedback path: full rescans of the sample list."""
+    samples = results.samples()
     return {
-        "throughput": results.throughput((now - WINDOW, now)),
-        "latency": {name: results.latency_percentiles(name)
-                    for name in results.txn_names()},
+        "throughput": ref.throughput(samples, (now - WINDOW, now)),
+        "latency": {name: ref.latency_percentiles(samples, name)
+                    for name in ref.txn_names(samples)},
     }
 
 

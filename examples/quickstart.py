@@ -55,11 +55,11 @@ def main() -> None:
     print(f"rate-cap violations: "
           f"{analyzer.rate_cap_violations(cap=800)} seconds")
     print("\nper-transaction latency (ms):")
-    for txn_name in results.txn_names():
+    for txn_name, counts in results.metrics.txn_counts().items():
         stats = results.latency_percentiles(txn_name)
         print(f"  {txn_name:24s} avg={stats['avg'] * 1000:7.3f}  "
               f"p99={stats['p99'] * 1000:7.3f}  "
-              f"n={results.count('ok', txn_name)}")
+              f"n={counts['committed']}")
     print("\nper-second throughput (middle of each phase):")
     series = dict(results.per_second_throughput())
     for second in (10, 15, 20, 40, 45, 50):

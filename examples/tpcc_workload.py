@@ -56,7 +56,7 @@ def main() -> None:
           f"{results.aborted()} "
           f"(TPC-C intends ~1% NewOrder rollbacks)")
     print("\nlatency by transaction type (ms):")
-    for txn_name in results.txn_names():
+    for txn_name in results.metrics.txn_counts():
         stats = results.latency_percentiles(txn_name)
         if stats:
             print(f"  {txn_name:12s} avg={stats['avg'] * 1000:8.3f} "

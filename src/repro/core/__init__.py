@@ -2,7 +2,6 @@
 
 from .benchmark import (BenchmarkModule, CLASS_FEATURE, CLASS_TRANSACTIONAL,
                         CLASS_WEB)
-from .collector import StatisticsCollector
 from .config import WorkloadConfiguration
 from .executors import (SimulatedExecutor, ThreadedExecutor,
                         default_take_batch)
@@ -24,7 +23,7 @@ from .results import (DirectRecorder, LatencySample, Results, SampleBuffer,
 
 __all__ = [
     "BenchmarkModule", "CLASS_FEATURE", "CLASS_TRANSACTIONAL", "CLASS_WEB",
-    "StatisticsCollector", "WorkloadConfiguration",
+    "WorkloadConfiguration",
     "SimulatedExecutor", "ThreadedExecutor", "default_take_batch",
     "WorkloadManager", "MultiTenantCoordinator", "Tenant",
     "ProcessExecutor", "TenantSpec",

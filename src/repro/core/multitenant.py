@@ -78,9 +78,10 @@ class MultiTenantCoordinator:
     def combined_results(self) -> Results:
         return merge(r for r in self.per_tenant_results().values())
 
-    def interference_report(self, window: tuple[float, float]
+    def interference_report(self, window: tuple[int, int]
                             ) -> dict[str, float]:
-        """Per-tenant delivered throughput over a shared time window."""
+        """Per-tenant delivered throughput over a shared whole-second
+        window."""
         return {
             tenant: results.throughput(window)
             for tenant, results in self.per_tenant_results().items()

@@ -74,10 +74,17 @@ def phases_from_results(results: Results, bucket_seconds: int = 10,
 
     The committed-throughput series is averaged into ``bucket_seconds``
     buckets and optionally scaled — e.g. replay yesterday's production
-    trace at 2x to test headroom.
+    trace at 2x to test headroom.  A run longer than the metrics ring's
+    history has lost its oldest seconds and is refused rather than
+    replayed truncated.
     """
     if bucket_seconds <= 0:
         raise ConfigurationError("bucket_seconds must be positive")
+    if not results.metrics.series_complete():
+        raise ConfigurationError(
+            "run outlasted the metrics history "
+            f"({results.metrics.window.history_seconds} s); its "
+            "per-second series is truncated")
     per_second = dict(results.per_second_throughput())
     if not per_second:
         raise ConfigurationError("results contain no committed samples")

@@ -1,16 +1,15 @@
 """Result collection: per-transaction samples and aggregate views.
 
 Every executed request yields one :class:`LatencySample`.  The
-:class:`Results` container aggregates them into the numbers OLTP-Bench
-reports: throughput over windows, latency percentiles per transaction type,
-and abort/error breakdowns.  The trace analyzer (``repro.trace``) consumes
-the same samples for time-series views.
+:class:`Results` container logs them and serves the numbers OLTP-Bench
+reports: throughput over windows, latency percentiles per transaction
+type, and abort/error breakdowns.
 
-Each sample is also fed exactly once into a
-:class:`~repro.metrics.StreamingMetrics` (``results.metrics``), which the
-control-API feedback path queries in O(bins) instead of rescanning this
-list.  The batch aggregate views below remain the ground truth the
-streaming layer is tested against.
+Each sample is fed exactly once into a
+:class:`~repro.metrics.StreamingMetrics` (``results.metrics``), the one
+aggregate layer: every view below answers from it in O(bins), never by
+rescanning the sample list.  Counts, spans and whole-second windows are
+exact; percentiles are binned (docs/metrics.md).
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from ..metrics import StreamingMetrics
 STATUS_OK = "ok"
 STATUS_ABORTED = "aborted"
 STATUS_ERROR = "error"
-
-PERCENTILES = (25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 
 
 class LatencySample:
@@ -84,12 +81,16 @@ class LatencySample:
 
 
 class Results:
-    """Thread-safe accumulator of latency samples."""
+    """Thread-safe raw sample log plus views over its streaming metrics.
+
+    Every aggregate view answers from :attr:`metrics`, which folds each
+    sample in once as it is recorded; the sample list is kept only for
+    the consumers that need raw samples (``samples()``).
+    """
 
     def __init__(self, metrics: Optional[StreamingMetrics] = None) -> None:
         self._lock = threading.Lock()
         self._samples: list[LatencySample] = []
-        self._postponed = 0  # requests the queue shed to hold the rate cap
         self._batches = 0  # record_batch calls (recorder flush telemetry)
         self.metrics = metrics or StreamingMetrics()
 
@@ -97,7 +98,7 @@ class Results:
         with self._lock:
             self._samples.append(sample)
         self.metrics.observe(sample.end, sample.txn_name, sample.latency,
-                             sample.status)
+                             sample.status, sample.start)
 
     def record_batch(self, samples: Sequence[LatencySample]) -> None:
         """Fold a worker-local buffer in: one list extend, one lock pass.
@@ -126,15 +127,12 @@ class Results:
                     "samples": len(self._samples)}
 
     def record_postponed(self, count: int = 1) -> None:
-        with self._lock:
-            self._postponed += count
+        """Count requests the queue shed to hold the rate cap."""
         self.metrics.record_postponed(count)
 
     @property
     def postponed(self) -> int:
-        """Shed-request count, read under this result's lock."""
-        with self._lock:
-            return self._postponed
+        return self.metrics.postponed()
 
     def samples(self) -> list[LatencySample]:
         with self._lock:
@@ -144,92 +142,69 @@ class Results:
         with self._lock:
             return len(self._samples)
 
-    # -- aggregate views ----------------------------------------------------
-
-    def count(self, status: Optional[str] = None,
-              txn_name: Optional[str] = None) -> int:
-        return sum(1 for s in self.samples()
-                   if (status is None or s.status == status)
-                   and (txn_name is None or s.txn_name == txn_name))
+    # -- aggregate views (answered by the streaming metrics) ----------------
 
     def committed(self) -> int:
-        return self.count(STATUS_OK)
+        return self.metrics.committed()
 
     def aborted(self) -> int:
-        return self.count(STATUS_ABORTED)
+        return self.metrics.totals()["aborted"]
 
     def abort_rate(self) -> float:
-        total = len(self)
-        return self.aborted() / total if total else 0.0
+        totals = self.metrics.totals()
+        total = totals["committed"] + totals["aborted"] + totals["errors"]
+        return totals["aborted"] / total if total else 0.0
 
     def duration(self) -> float:
-        samples = self.samples()
-        if not samples:
-            return 0.0
-        start = min(s.start for s in samples)
-        end = max(s.end for s in samples)
-        return max(0.0, end - start)
+        """First scheduled start to last completion, over every sample."""
+        return self.metrics.duration()
 
-    def throughput(self, window: Optional[tuple[float, float]] = None) -> float:
-        """Committed transactions per second, optionally over a window."""
-        samples = [s for s in self.samples() if s.status == STATUS_OK]
-        if window is not None:
-            lo, hi = window
-            samples = [s for s in samples if lo <= s.end < hi]
-            span = hi - lo
-        else:
+    def throughput(self, window: Optional[tuple[float, float]] = None
+                   ) -> float:
+        """Committed transactions per second, optionally over a window.
+
+        A window ``(lo, hi)`` counts commits with ``lo <= end < hi`` and
+        needs whole-second bounds, the per-second ring's resolution.
+        """
+        if window is None:
             span = self.duration()
-        if span <= 0:
+            return self.committed() / span if span > 0 else 0.0
+        lo, hi = window
+        if lo != math.floor(lo) or hi != math.floor(hi):
+            raise ValueError(
+                f"throughput window {window!r} needs whole-second bounds")
+        if hi <= lo:
             return 0.0
-        return len(samples) / span
+        series = self.metrics.throughput_series(int(lo), int(hi))
+        return sum(count for _second, count in series) / (hi - lo)
 
     def per_second_throughput(self) -> list[tuple[int, int]]:
-        """Sorted (second, committed count) pairs — the game's altitude."""
-        buckets: dict[int, int] = {}
-        for sample in self.samples():
-            if sample.status == STATUS_OK:
-                # floor, not int(): int() truncates toward zero, so a
-                # sample ending at virtual time -0.5 would land in
-                # second 0 instead of -1.
-                second = math.floor(sample.end)
-                buckets[second] = buckets.get(second, 0) + 1
-        return sorted(buckets.items())
+        """Sorted (second, committed count) pairs — the game's altitude.
 
-    def latencies(self, txn_name: Optional[str] = None,
-                  status: str = STATUS_OK) -> list[float]:
-        return [s.latency for s in self.samples()
-                if s.status == status
-                and (txn_name is None or s.txn_name == txn_name)]
+        A sample counts in second ``floor(end)``; seconds without a
+        commit are left out.
+        """
+        return self.metrics.throughput_series()
 
     def latency_percentiles(self, txn_name: Optional[str] = None
                             ) -> dict[str, float]:
-        values = sorted(self.latencies(txn_name))
-        if not values:
-            return {}
-        summary = {"min": values[0], "max": values[-1],
-                   "avg": sum(values) / len(values)}
-        for pct in PERCENTILES:
-            summary[f"p{pct:g}"] = percentile(values, pct)
-        return summary
-
-    def txn_names(self) -> list[str]:
-        return sorted({s.txn_name for s in self.samples()})
+        """Committed latencies: exact min/max/avg, binned percentiles."""
+        return self.metrics.latency_percentiles(txn_name)
 
     def summary(self) -> dict[str, object]:
         """A compact run report, one row per transaction type."""
-        per_txn = {}
-        for name in self.txn_names():
-            per_txn[name] = {
-                "committed": self.count(STATUS_OK, name),
-                "aborted": self.count(STATUS_ABORTED, name),
-                "errors": self.count(STATUS_ERROR, name),
-                "latency": self.latency_percentiles(name),
-            }
+        totals = self.metrics.totals()
+        per_txn = {
+            name: {**counts,
+                   "latency": self.metrics.latency_percentiles(name)}
+            for name, counts in self.metrics.txn_counts().items()
+        }
         return {
-            "total": len(self),
-            "committed": self.committed(),
-            "aborted": self.aborted(),
-            "postponed": self.postponed,
+            "total": (totals["committed"] + totals["aborted"]
+                      + totals["errors"]),
+            "committed": totals["committed"],
+            "aborted": totals["aborted"],
+            "postponed": totals["postponed"],
             "throughput": self.throughput(),
             "per_txn": per_txn,
         }
@@ -329,12 +304,12 @@ def percentile(sorted_values: list[float], pct: float) -> float:
 def merge(results: Iterable[Results]) -> Results:
     """Combine several Results containers (e.g. multi-tenant runs).
 
-    ``samples()`` and the ``postponed`` property both read under the
-    source result's lock, so merging is safe against concurrent
-    recording.  Each source folds in through one ``record_batch`` call
-    — a single list extend and one metrics-lock pass per container,
-    instead of replaying every sample through ``record()`` (which made
-    merging N tenants of S samples cost 2·N·S lock acquisitions).
+    The one merge path: each source's samples replay through one
+    ``record_batch`` call, which both concatenates the sample logs and
+    rebuilds the merged streaming metrics (a single list extend and one
+    metrics-lock pass per container).  ``samples()`` and ``postponed``
+    read under the source's locks, so merging is safe against
+    concurrent recording.
     """
     merged = Results()
     for result in results:

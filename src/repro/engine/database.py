@@ -53,7 +53,8 @@ class PreparedStatement:
 
     Produced by :meth:`Database.prepare_exec`, which keeps the planned
     ones in the plan cache.  ``n_params`` is the number of ``?`` markers,
-    which the DB-API cursor checks the parameters against.
+    which :meth:`Database.execute_prepared` checks the parameters
+    against.
     """
 
     __slots__ = ("sql", "stmt", "plan", "is_ddl", "is_control", "n_params")
@@ -66,6 +67,14 @@ class PreparedStatement:
             stmt, (ast.CreateTable, ast.CreateIndex, ast.DropTable))
         self.is_control = isinstance(stmt, ast.TransactionControl)
         self.n_params = ast.count_params(stmt)
+
+
+def _count_error(expected: int, got: int) -> ProgrammingError:
+    if got < expected:
+        return ProgrammingError(
+            f"statement expects at least {expected} parameters, got {got}")
+    return ProgrammingError(
+        f"statement expects {expected} parameters, got {got}")
 
 
 class Database:
@@ -146,6 +155,10 @@ class Database:
     def execute_prepared(self, txn: Optional[Transaction],
                          prepared: PreparedStatement,
                          params: Sequence[object] = ()) -> Result:
+        """Run a prepared statement; every execution path lands here, so
+        this is where the parameter count is checked."""
+        if len(params) != prepared.n_params:
+            raise _count_error(prepared.n_params, len(params))
         self.counters.statements += 1
         if prepared.is_ddl:
             return self._execute_ddl(prepared.stmt)

@@ -137,14 +137,6 @@ def _param_tuple(params: object) -> tuple:
     return tuple(params)
 
 
-def _count_error(expected: int, got: int) -> ProgrammingError:
-    if got < expected:
-        return ProgrammingError(
-            f"statement expects at least {expected} parameters, got {got}")
-    return ProgrammingError(
-        f"statement expects {expected} parameters, got {got}")
-
-
 class Cursor:
     """PEP 249 cursor over a connection."""
 
@@ -165,8 +157,9 @@ class Cursor:
         :meth:`Database.execute_prepared` call.
 
         The parameters must match the statement's ``?`` markers in
-        number.  A planned statement opens the connection's transaction
-        if none is open; DDL runs outside any transaction.
+        number (:meth:`Database.execute_prepared` checks).  A planned
+        statement opens the connection's transaction if none is open;
+        DDL runs outside any transaction.
         """
         conn = self.connection
         if self._closed or conn._closed:
@@ -175,8 +168,6 @@ class Cursor:
         prepared = db.prepare_exec(sql)
         if type(params) is not tuple:
             params = _param_tuple(params)
-        if len(params) != prepared.n_params:
-            raise _count_error(prepared.n_params, len(params))
         if prepared.plan is None:
             # DDL, or transaction control, which execute_prepared refuses.
             if prepared.is_ddl and conn.in_transaction:

@@ -126,7 +126,15 @@ class FaultingConnection:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._conn.__exit__(exc_type, exc, tb)
+        # Through this wrapper's commit, so a plan armed past the last
+        # statement still fires (and a dropped connection still fails).
+        try:
+            if exc_type is None:
+                self.commit()
+            else:
+                self.rollback()
+        finally:
+            self.close()
 
     # Checked once per transaction attempt: a direct delegation skips
     # the double getattr of the ``__getattr__`` fallback below.

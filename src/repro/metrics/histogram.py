@@ -10,7 +10,7 @@ Accuracy contract (documented in docs/metrics.md): a reported quantile
 lies within one bin of the order statistics bounding its rank, i.e. its
 relative error against those observed values is bounded by the bin
 growth factor minus one — with the default 32 bins per decade that is
-``10 ** (1/32) - 1`` ≈ 7.5 %.  (The batch path interpolates linearly
+``10 ** (1/32) - 1`` ≈ 7.5 %.  (The exact reference interpolates linearly
 *between* two sorted samples; when those straddle a sparse-tail gap the
 interpolated point itself can sit further away, but the bounding
 samples never do.)  ``min``, ``max``, ``avg`` (and therefore throughput
@@ -27,8 +27,8 @@ DEFAULT_LOWER = 1e-6
 DEFAULT_UPPER = 1e3
 DEFAULT_BINS_PER_DECADE = 32
 
-#: Percentile points reported by :meth:`LatencyHistogram.percentiles`,
-#: mirroring ``repro.core.results.PERCENTILES``.
+#: Percentile points reported by :meth:`LatencyHistogram.percentiles`
+#: (and so by every ``Results`` latency view).
 PERCENTILE_POINTS = (25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 
 

@@ -4,9 +4,10 @@
 path.  ``Results.record()`` feeds every :class:`LatencySample` through
 :meth:`observe` exactly once at record time; after that, *no* feedback
 query — sliding-window throughput, per-transaction-type latency
-quantiles, abort/error rates — ever rescans the raw sample list.  The
-raw list stays in ``Results`` solely for the trace analyzer and the
-post-run report.
+quantiles, abort/error rates, the run's span — ever rescans the raw
+sample list.  It is the only aggregate: every ``Results`` view answers
+from it, and the raw list stays in ``Results`` for the trace writer, the
+process driver's relay and the queue-delay percentile.
 
 Three streaming structures, one lock:
 
@@ -15,12 +16,15 @@ Three streaming structures, one lock:
 * one :class:`~repro.metrics.histogram.LatencyHistogram` per transaction
   type plus a run-wide one (quantiles within bin tolerance, exact
   min/max/avg);
+* exact counters: per-type and run-wide committed/aborted/error counts,
+  the postponed count and the first start / last end (the run's span);
 * offered/taken/postponed counters snapshotted from the request queue
   (requested-vs-delivered accounting, paper §2.2.1).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Mapping, Optional
 
@@ -50,32 +54,42 @@ class StreamingMetrics:
         self._aborted = 0
         self._errors = 0
         self._postponed = 0
+        self._first_start = math.inf
+        self._last_end = -math.inf
         self._queue: dict[str, int] = {}
         self._resilience: dict = {}
 
     # -- ingest (one call per sample, O(1)) ---------------------------------
 
     def observe(self, end: float, txn_name: str, latency: float,
-                status: str) -> None:
+                status: str, start: Optional[float] = None) -> None:
+        """Ingest one sample; ``start`` defaults to ``end``."""
         with self._lock:
-            self._observe_one(end, txn_name, latency, status)
+            self._observe_one(end, txn_name, latency, status,
+                              end if start is None else start)
 
     def observe_batch(self, samples) -> None:
         """Fold a worker-local buffer in under one lock acquisition.
 
-        ``samples`` is any iterable of objects with ``end``/``txn_name``/
-        ``latency``/``status`` attributes (:class:`LatencySample`); the
-        epoch-flush path of the batched driver, so per-sample lock
-        traffic disappears from the worker hot loop.
+        ``samples`` is any iterable of objects with ``start``/``end``/
+        ``txn_name``/``latency``/``status`` attributes
+        (:class:`LatencySample`); the epoch-flush path of the batched
+        driver, so per-sample lock traffic disappears from the worker hot
+        loop.
         """
         with self._lock:
             for sample in samples:
                 self._observe_one(sample.end, sample.txn_name,
-                                  sample.latency, sample.status)
+                                  sample.latency, sample.status,
+                                  sample.start)
 
     def _observe_one(self, end: float, txn_name: str, latency: float,
-                     status: str) -> None:
+                     status: str, start: float) -> None:
         """Ingest one sample; caller holds ``self._lock``."""
+        if start < self._first_start:
+            self._first_start = start
+        if end > self._last_end:
+            self._last_end = end
         self.window.record(end, txn_name, latency, status)
         entry = self._counts.get(txn_name)
         if entry is None:
@@ -127,11 +141,24 @@ class StreamingMetrics:
         with self._lock:
             return self._postponed
 
+    def totals(self) -> dict[str, int]:
+        """Run-wide committed/aborted/error/postponed counts."""
+        with self._lock:
+            return self._totals()
+
+    def _totals(self) -> dict[str, int]:
+        return {"committed": self._committed, "aborted": self._aborted,
+                "errors": self._errors, "postponed": self._postponed}
+
+    def duration(self) -> float:
+        """Last completion minus first scheduled start; 0 when empty."""
+        with self._lock:
+            return max(0.0, self._last_end - self._first_start)
+
     def instantaneous(self, now: float, window: float = 5.0) -> dict:
         """Sliding-window throughput and per-type average latency.
 
-        Shape-compatible with the legacy ``StatisticsCollector``: the
-        current (incomplete) second is excluded.
+        The current (incomplete) second is excluded.
         """
         with self._lock:
             stats = self.window.window_stats(now, window)
@@ -143,10 +170,11 @@ class StreamingMetrics:
         }
 
     def throughput_series(self, start: Optional[int] = None,
-                          end: Optional[int] = None
+                          end: Optional[int] = None,
+                          txn_name: Optional[str] = None
                           ) -> list[tuple[int, int]]:
         with self._lock:
-            return self.window.series(start, end)
+            return self.window.series(start, end, txn_name)
 
     def series_complete(self) -> bool:
         with self._lock:
@@ -163,11 +191,15 @@ class StreamingMetrics:
             return histogram.percentiles()
 
     def txn_counts(self) -> dict[str, dict[str, int]]:
+        """Per-type committed/aborted/error counts, sorted by name."""
         with self._lock:
-            return {name: {"committed": ok, "aborted": aborted,
-                           "errors": errors}
-                    for name, (ok, aborted, errors)
-                    in sorted(self._counts.items())}
+            return self._txn_counts()
+
+    def _txn_counts(self) -> dict[str, dict[str, int]]:
+        return {name: {"committed": ok, "aborted": aborted,
+                       "errors": errors}
+                for name, (ok, aborted, errors)
+                in sorted(self._counts.items())}
 
     def snapshot(self, now: float, window: float = 5.0,
                  queue: Optional[Mapping[str, int]] = None,
@@ -182,11 +214,6 @@ class StreamingMetrics:
             latency = {TOTAL_KEY: self._total.snapshot()}
             for name, histogram in sorted(self._per_txn.items()):
                 latency[name] = histogram.snapshot()
-            per_txn_counts = {
-                name: {"committed": ok, "aborted": aborted,
-                       "errors": errors}
-                for name, (ok, aborted, errors)
-                in sorted(self._counts.items())}
             return {
                 "window": {
                     "seconds": stats["seconds"],
@@ -196,42 +223,10 @@ class StreamingMetrics:
                     "avg_latency": stats["avg_latency"],
                     "per_txn": stats["per_txn"],
                 },
-                "totals": {
-                    "committed": self._committed,
-                    "aborted": self._aborted,
-                    "errors": self._errors,
-                    "postponed": self._postponed,
-                    "per_txn": per_txn_counts,
-                },
+                "totals": {**self._totals(),
+                           "per_txn": self._txn_counts()},
                 "latency": latency,
                 "queue": dict(self._queue),
                 "resilience": dict(self._resilience),
                 "bins": self._template.layout(),
             }
-
-    def merge(self, other: "StreamingMetrics") -> None:
-        """Fold another tenant's streaming state in, without samples."""
-        with other._lock:
-            window_copy = other.window
-            total_copy = other._total
-            per_txn_copy = dict(other._per_txn)
-            counts_copy = {k: list(v) for k, v in other._counts.items()}
-            committed, aborted = other._committed, other._aborted
-            errors, postponed = other._errors, other._postponed
-        with self._lock:
-            self.window.merge(window_copy)
-            self._total.merge(total_copy)
-            for name, histogram in per_txn_copy.items():
-                mine = self._per_txn.get(name)
-                if mine is None:
-                    mine = self._per_txn[name] = make_histogram(histogram)
-                mine.merge(histogram)
-            for name, (ok, ab, err) in counts_copy.items():
-                entry = self._counts.setdefault(name, [0, 0, 0])
-                entry[0] += ok
-                entry[1] += ab
-                entry[2] += err
-            self._committed += committed
-            self._aborted += aborted
-            self._errors += errors
-            self._postponed += postponed

@@ -96,8 +96,8 @@ class ThroughputWindow:
     def complete(self) -> bool:
         """True while no recorded second has been evicted yet.
 
-        The trace analyzer uses this to decide whether the streaming
-        per-second series can stand in for a full sample rescan.
+        Once it is False, per-second series and windows that reach back
+        past the horizon miss the evicted seconds' counts.
         """
         if self._max_second is None:
             return True
@@ -141,49 +141,35 @@ class ThroughputWindow:
         }
 
     def series(self, start: Optional[int] = None,
-               end: Optional[int] = None) -> list[tuple[int, int]]:
-        """Sorted (second, committed) pairs over the retained history."""
+               end: Optional[int] = None,
+               txn_name: Optional[str] = None) -> list[tuple[int, int]]:
+        """Sorted (second, committed) pairs over the retained history.
+
+        With ``txn_name``, counts only that transaction type's commits.
+        Seconds without a commit are left out.  An explicit ``start``
+        before the retained horizon, once seconds have been evicted,
+        raises ``ValueError``: those counts are gone, not zero.
+        """
         if self._max_second is None:
             return []
         assert self._min_second is not None
+        retained = self._max_second - self.history_seconds + 1
+        if start is not None and start < retained and not self.complete():
+            raise ValueError(
+                f"seconds before {retained} were evicted from the "
+                f"{self.history_seconds} s ring")
         lo = self._min_second if start is None else start
         hi = self._max_second + 1 if end is None else end
-        lo = max(lo, self._max_second - self.history_seconds + 1)
+        lo = max(lo, retained)
         out = []
         for second in range(lo, hi):
             slot = self._slots[second % self.history_seconds]
-            if slot.second == second and slot.committed:
-                out.append((second, slot.committed))
+            if slot.second != second:
+                continue
+            if txn_name is None:
+                count = slot.committed
+            else:
+                count = slot.per_txn.get(txn_name, (0,))[0]
+            if count:
+                out.append((second, count))
         return out
-
-    def merge(self, other: "ThroughputWindow") -> None:
-        """Fold another window in second by second (multi-tenant views)."""
-        if other._max_second is None:
-            return
-        assert other._min_second is not None
-        for second in range(other._min_second, other._max_second + 1):
-            slot = other._slots[second % other.history_seconds]
-            if slot.second == second:
-                self._fold_slot(slot)
-
-    def _fold_slot(self, slot: _Slot) -> None:
-        assert slot.second is not None
-        mine = self._slots[slot.second % self.history_seconds]
-        if mine.second != slot.second:
-            if mine.second is not None and mine.second > slot.second:
-                self.dropped_stale += slot.committed + slot.aborted \
-                    + slot.errors
-                return
-            mine.reset(slot.second)
-        if self._min_second is None or slot.second < self._min_second:
-            self._min_second = slot.second
-        if self._max_second is None or slot.second > self._max_second:
-            self._max_second = slot.second
-        mine.committed += slot.committed
-        mine.aborted += slot.aborted
-        mine.errors += slot.errors
-        mine.latency_sum += slot.latency_sum
-        for name, (count, total) in slot.per_txn.items():
-            entry = mine.per_txn.setdefault(name, [0, 0.0])
-            entry[0] += count
-            entry[1] += total

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from ..core.results import Results, STATUS_OK, percentile
+from ..core.results import Results, percentile
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,11 @@ class TraceAnalyzer:
                           end: Optional[int] = None) -> list[tuple[int, int]]:
         """Committed transactions per whole second, gaps filled with 0.
 
-        Prefers the streaming per-second counters (identical numbers,
-        O(seconds) instead of O(samples)) while the run still fits the
-        metrics ring; falls back to a full sample rescan otherwise.
+        Read from the streaming per-second ring; a run longer than the
+        ring's history loses its oldest seconds, which :meth:`report`
+        flags as ``series_complete: false``.
         """
-        metrics = self.results.metrics
-        if metrics.series_complete():
-            buckets = dict(metrics.throughput_series())
-        else:
-            buckets = dict(self.results.per_second_throughput())
+        buckets = dict(self.results.per_second_throughput())
         if not buckets:
             return []
         lo = start if start is not None else min(buckets)
@@ -62,12 +58,8 @@ class TraceAnalyzer:
                 for second in range(lo, hi)]
 
     def per_txn_series(self, txn_name: str) -> list[tuple[int, int]]:
-        buckets: dict[int, int] = {}
-        for sample in self.results.samples():
-            if sample.status == STATUS_OK and sample.txn_name == txn_name:
-                second = math.floor(sample.end)  # match the metrics ring
-                buckets[second] = buckets.get(second, 0) + 1
-        return sorted(buckets.items())
+        """Sorted (second, committed) pairs for one transaction type."""
+        return self.results.metrics.throughput_series(txn_name=txn_name)
 
     # -- stability / jitter ---------------------------------------------------
 
@@ -166,6 +158,8 @@ class TraceAnalyzer:
         return self.results.latency_percentiles(txn_name)
 
     def queue_delay_percentile(self, pct: float) -> float:
+        # Queue delay has no histogram yet, so this one view reads the
+        # raw samples.
         delays = sorted(s.queue_delay for s in self.results.samples())
         if not delays:
             return 0.0
@@ -178,4 +172,5 @@ class TraceAnalyzer:
             "summary": self.results.summary(),
             "jitter": self.jitter(),
             "series": self.throughput_series(),
+            "series_complete": self.results.metrics.series_complete(),
         }

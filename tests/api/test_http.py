@@ -1,5 +1,7 @@
 """REST server + client round trips over a real HTTP socket."""
 
+import math
+
 import pytest
 
 from repro.api import ApiClient, ApiServer, ControlApi
@@ -117,8 +119,13 @@ def test_live_control_during_threaded_run(db):
         timer.cancel()
     samples = manager.results.samples()
     start = min(s.start for s in samples)
-    before = manager.results.throughput((start + 0.5, start + 1.5))
-    after = manager.results.throughput((start + 2.8, start + 3.8))
+    # Whole-second windows (the metrics ring's resolution): one second
+    # inside [start + 0.25, start + 2.25), before the throttle lands,
+    # and one inside [start + 2.6, start + 4.6), after it.
+    before_lo = math.ceil(start + 0.25)
+    after_lo = math.ceil(start + 2.6)
+    before = manager.results.throughput((before_lo, before_lo + 1))
+    after = manager.results.throughput((after_lo, after_lo + 1))
     assert before > 120
     assert after < 70
 

@@ -25,6 +25,8 @@ from repro.engine import Database, connect
 #: hypothesis's own ``--hypothesis-profile=sqlite-oracle-extended``;
 #: tier-1 runs the default profile.
 settings.register_profile("sqlite-oracle-extended", max_examples=1500)
+#: The same for the Results-vs-batch-reference property test.
+settings.register_profile("metrics-extended", max_examples=2000)
 
 
 def pytest_addoption(parser):

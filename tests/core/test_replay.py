@@ -9,6 +9,7 @@ from repro.core.replay import (phases_from_csv, phases_from_results,
                                phases_from_series)
 from repro.core.results import LatencySample, Results
 from repro.errors import ConfigurationError
+from repro.metrics import StreamingMetrics
 
 from ..conftest import MiniBenchmark
 
@@ -71,6 +72,15 @@ def test_phases_from_results_buckets_and_scale():
         phases_from_results(Results())
     with pytest.raises(ConfigurationError):
         phases_from_results(results, bucket_seconds=0)
+
+
+def test_phases_from_results_refuses_a_truncated_series():
+    """Seconds evicted from the metrics ring would replay as silence."""
+    results = Results(StreamingMetrics(history_seconds=5))
+    for second in range(8):
+        results.record(LatencySample("T", second + 0.5, 0.0, 0.001))
+    with pytest.raises(ConfigurationError, match="truncated"):
+        phases_from_results(results)
 
 
 def test_replayed_profile_reproduces_original_shape(db):

@@ -17,11 +17,12 @@ def test_counts_by_status_and_txn():
     results.record(sample("A"))
     results.record(sample("A", status=STATUS_ABORTED))
     results.record(sample("B", status=STATUS_ERROR))
-    assert results.count() == 3
+    assert len(results) == 3
     assert results.committed() == 1
     assert results.aborted() == 1
-    assert results.count(STATUS_OK, "A") == 1
-    assert results.count(txn_name="A") == 2
+    counts = results.metrics.txn_counts()
+    assert counts["A"] == {"committed": 1, "aborted": 1, "errors": 0}
+    assert counts["B"] == {"committed": 0, "aborted": 0, "errors": 1}
     assert results.abort_rate() == pytest.approx(1 / 3)
 
 
@@ -45,6 +46,27 @@ def test_throughput_window():
         results.record(sample(start=float(i)))  # ends at i + 0.01
     assert results.throughput(window=(0.0, 5.0)) == pytest.approx(1.0)
     assert results.throughput(window=(20.0, 25.0)) == 0.0
+    assert results.throughput(window=(5, 5)) == 0.0
+
+
+def test_throughput_window_needs_whole_seconds():
+    """The per-second ring answers windows exactly only on whole
+    seconds, so a fractional bound is refused rather than rounded."""
+    results = Results()
+    results.record(sample(start=1.2))
+    for window in ((0.5, 5.0), (0.0, 4.5)):
+        with pytest.raises(ValueError, match="whole-second"):
+            results.throughput(window=window)
+
+
+def test_duration_spans_first_start_to_last_end_of_every_status():
+    results = Results()
+    assert results.duration() == 0.0
+    results.record(sample(start=2.0, queue_delay=0.5, latency=0.25))
+    results.record_batch([sample(start=-1.0, status=STATUS_ABORTED),
+                          sample(start=4.0, latency=1.0,
+                                 status=STATUS_ERROR)])
+    assert results.duration() == 6.0
 
 
 def test_per_second_throughput_counts_commits_only():
@@ -102,7 +124,7 @@ def test_merge_combines_results():
     merged = merge([a, b])
     assert len(merged) == 2
     assert merged.postponed == 2
-    assert merged.txn_names() == ["A", "B"]
+    assert list(merged.metrics.txn_counts()) == ["A", "B"]
 
 
 def test_thread_safety_smoke():

@@ -93,6 +93,23 @@ def test_executemany_checks_every_row(loaded):
     assert execute(loaded, "SELECT COUNT(*) FROM t").fetchone() == (3,)
 
 
+def test_parameter_count_checked_below_the_cursor(db, loaded):
+    """Database.execute checks the count too, so loaders and consistency
+    checks that bypass the cursor cannot pass extra parameters."""
+    txn = db.begin()
+    try:
+        with pytest.raises(ProgrammingError,
+                           match="statement expects 1 parameters, got 3"):
+            db.execute(txn, "SELECT b FROM t WHERE a = ?", (1, 99, "extra"))
+        with pytest.raises(ProgrammingError,
+                           match="expects at least 2 parameters, got 1"):
+            db.execute(txn, "INSERT INTO t VALUES (?, ?)", (9,))
+        assert db.execute(txn, "SELECT b FROM t WHERE a = ?",
+                          (1,)).rows == [("one",)]
+    finally:
+        db.rollback(txn)
+
+
 def test_string_params_rejected(loaded):
     cur = loaded.cursor()
     with pytest.raises(ProgrammingError):

@@ -60,6 +60,43 @@ def test_short_transaction_fires_at_commit(kv):
     kv.rollback()
 
 
+def _read_v(db):
+    raw = connect(db)
+    try:
+        cur = raw.cursor()
+        cur.execute("SELECT v FROM kv WHERE k = ?", (1,))
+        return cur.fetchall()[0][0]
+    finally:
+        raw.close()
+
+
+def test_with_block_fires_plan_armed_past_last_statement(kv, db):
+    """Leaving ``with`` commits through the wrapper, so the plan fires."""
+    kv.arm(_plan(KIND_ABORT, at_statement=5))
+    with pytest.raises(InjectedAbort):
+        with kv:
+            kv.cursor().execute("UPDATE kv SET v = v + 1 WHERE k = ?", (1,))
+    assert _read_v(db) == 0
+    with pytest.raises(InterfaceError):
+        kv.cursor()  # the block closed the connection either way
+
+
+def test_with_block_rolls_back_and_closes_on_error(kv, db):
+    with pytest.raises(RuntimeError):
+        with kv:
+            kv.cursor().execute("UPDATE kv SET v = v + 1 WHERE k = ?", (1,))
+            raise RuntimeError("worker failed")
+    assert _read_v(db) == 0
+    with pytest.raises(InterfaceError):
+        kv.cursor()
+
+
+def test_with_block_commits_on_success(kv, db):
+    with kv:
+        kv.cursor().execute("UPDATE kv SET v = v + 1 WHERE k = ?", (1,))
+    assert _read_v(db) == 1
+
+
 def test_disconnect_sticks_until_reconnect(kv):
     kv.arm(_plan(KIND_DISCONNECT))
     cur = kv.cursor()

@@ -1,13 +1,14 @@
-"""StreamingMetrics end-to-end: equivalence with the batch paths."""
+"""StreamingMetrics end-to-end: equivalence with the batch reference."""
 
 import threading
 
 import pytest
 
-from repro.core.collector import StatisticsCollector
 from repro.core.results import (LatencySample, Results, STATUS_ABORTED,
                                 STATUS_ERROR, STATUS_OK)
 from repro.metrics import StreamingMetrics, TOTAL_KEY
+
+from . import batch_reference as ref
 
 
 def simulated_run(n=2000):
@@ -46,10 +47,12 @@ def test_results_owns_streaming_metrics(recorded):
 
 def test_windowed_throughput_exact_vs_batch(recorded):
     now = 20.0
+    samples = recorded.samples()
     for w in (1.0, 5.0, 10.0):
         snap = recorded.metrics.snapshot(now, w)
-        assert snap["window"]["throughput"] == pytest.approx(
-            recorded.throughput(window=(now - w, now)))
+        exact = ref.throughput(samples, window=(now - w, now))
+        assert snap["window"]["throughput"] == exact
+        assert recorded.throughput(window=(now - w, now)) == exact
 
 
 def test_quantiles_within_bin_tolerance_vs_batch(recorded):
@@ -60,55 +63,52 @@ def test_quantiles_within_bin_tolerance_vs_batch(recorded):
     apart, so the bin tolerance is guaranteed relative to that bounding
     pair, not to the interpolated point inside the gap.
     """
-    import math
-
     tolerance = recorded.metrics.snapshot(20.0)["bins"]["relative_error"]
-    for name in [None] + recorded.txn_names():
-        exact = recorded.latency_percentiles(name)
-        binned = recorded.metrics.latency_percentiles(name)
+    samples = recorded.samples()
+    for name in [None] + ref.txn_names(samples):
+        exact = ref.latency_percentiles(samples, name)
+        binned = recorded.latency_percentiles(name)
         assert binned["min"] == exact["min"]
         assert binned["max"] == exact["max"]
         assert binned["avg"] == pytest.approx(exact["avg"])
-        values = sorted(recorded.latencies(name))
         for pct in (25, 50, 75, 90, 95, 99):
-            rank = pct / 100.0 * (len(values) - 1)
-            lo = values[math.floor(rank)] * (1.0 - tolerance)
-            hi = values[math.ceil(rank)] * (1.0 + tolerance)
             key = f"p{pct}"
-            assert lo <= binned[key] <= hi, \
-                f"{name or 'total'} {key}: {binned[key]} not in " \
-                f"[{lo}, {hi}] (exact {exact[key]})"
+            assert ref.within_one_bin(samples, name, pct, binned[key],
+                                      tolerance), \
+                f"{name or 'total'} {key}: {binned[key]} outside one " \
+                f"bin (exact {exact[key]})"
 
 
 def test_totals_match_batch_counts(recorded):
+    samples = recorded.samples()
     totals = recorded.metrics.snapshot(20.0)["totals"]
-    assert totals["committed"] == recorded.committed()
-    assert totals["aborted"] == recorded.aborted()
-    assert totals["errors"] == recorded.count(STATUS_ERROR)
-    for name in recorded.txn_names():
+    assert totals["committed"] == ref.count(samples, STATUS_OK)
+    assert totals["aborted"] == ref.count(samples, STATUS_ABORTED)
+    assert totals["errors"] == ref.count(samples, STATUS_ERROR)
+    for name in ref.txn_names(samples):
         assert totals["per_txn"][name]["committed"] == \
-            recorded.count(STATUS_OK, name)
+            ref.count(samples, STATUS_OK, name)
         assert totals["per_txn"][name]["aborted"] == \
-            recorded.count(STATUS_ABORTED, name)
+            ref.count(samples, STATUS_ABORTED, name)
 
 
 def test_latency_section_keyed_by_type_plus_total(recorded):
     latency = recorded.metrics.snapshot(20.0)["latency"]
-    assert set(latency) == {TOTAL_KEY, *recorded.txn_names()}
+    assert set(latency) == {TOTAL_KEY, *ref.txn_names(recorded.samples())}
     assert latency[TOTAL_KEY]["count"] == recorded.committed()
 
 
 def test_instantaneous_matches_legacy_collector():
-    """Shape and value parity with the StatisticsCollector it replaced."""
-    collector = StatisticsCollector()
+    """Shape and value parity with the batch reference, which keeps the
+    window semantics of the StatisticsCollector that preceded the
+    streaming layer (a fractional ``now`` floors to its second)."""
+    samples = simulated_run()
     metrics = StreamingMetrics()
-    for sample in simulated_run():
-        collector.record(sample.end, sample.txn_name, sample.latency,
-                         sample.status)
+    for sample in samples:
         metrics.observe(sample.end, sample.txn_name, sample.latency,
                         sample.status)
     for now, window in ((20.0, 5.0), (20.6, 5.0), (10.0, 3.0)):
-        legacy = collector.instantaneous(now, window)
+        legacy = ref.instantaneous(samples, now, window)
         streaming = metrics.instantaneous(now, window)
         assert set(streaming) == set(legacy)
         assert streaming["throughput"] == pytest.approx(
@@ -125,15 +125,19 @@ def test_instantaneous_matches_legacy_collector():
 
 
 def test_throughput_series_matches_collector(recorded):
-    collector = StatisticsCollector()
-    for sample in recorded.samples():
-        collector.record(sample.end, sample.txn_name, sample.latency,
-                         sample.status)
+    """The per-second series equals the batch reference's (the series
+    the StatisticsCollector used to keep), bounded or not."""
+    samples = recorded.samples()
     assert recorded.metrics.series_complete()
     assert recorded.metrics.throughput_series() == \
-        collector.throughput_series()
-    assert recorded.metrics.throughput_series() == \
-        recorded.per_second_throughput()
+        ref.per_second_throughput(samples)
+    assert recorded.per_second_throughput() == \
+        ref.per_second_throughput(samples)
+    assert recorded.metrics.throughput_series(3, 7) == \
+        [(s, c) for s, c in ref.per_second_throughput(samples) if 3 <= s < 7]
+    for name in ref.txn_names(samples):
+        assert recorded.metrics.throughput_series(txn_name=name) == \
+            ref.per_second_throughput(samples, name)
 
 
 def test_queue_counters_surface_in_snapshot():
@@ -157,21 +161,6 @@ def test_bins_section_documents_layout():
     bins = StreamingMetrics().snapshot(0.0)["bins"]
     assert bins["bins_per_decade"] == 32
     assert bins["relative_error"] == pytest.approx(10 ** (1 / 32) - 1)
-
-
-def test_merge_folds_tenants_without_samples():
-    a, b = StreamingMetrics(), StreamingMetrics()
-    for i, metrics in enumerate((a, b)):
-        for sample in simulated_run(400):
-            metrics.observe(sample.end + i, sample.txn_name,
-                            sample.latency, sample.status)
-    b.record_postponed(5)
-    before = a.committed()
-    a.merge(b)
-    assert a.committed() == before + b.committed()
-    assert a.postponed() == 5
-    snap = a.snapshot(30.0)
-    assert snap["latency"][TOTAL_KEY]["count"] == a.committed()
 
 
 def test_concurrent_observe_is_safe():

@@ -1,40 +1,47 @@
-"""Per-second ring buffer vs the batch sample-rescan ground truth."""
+"""Per-second ring buffer vs the batch sample-rescan reference."""
 
 import pytest
 
-from repro.core.results import (LatencySample, Results, STATUS_ABORTED,
+from repro.core.results import (LatencySample, STATUS_ABORTED,
                                 STATUS_ERROR, STATUS_OK)
 from repro.metrics import ThroughputWindow
 
+from . import batch_reference as ref
 
-def feed(window, results, *, start, latency=0.01, status=STATUS_OK,
+
+def feed(window, samples, *, start, latency=0.01, status=STATUS_OK,
          txn="T"):
     sample = LatencySample(txn, start, 0.0, latency, status)
     window.record(sample.end, txn, latency, status)
-    results.record(sample)
+    samples.append(sample)
     return sample
 
 
 def test_per_second_series_matches_batch():
     window = ThroughputWindow()
-    results = Results()
+    samples = []
     for i in range(50):
-        feed(window, results, start=i * 0.25)  # 4 commits/second
-    feed(window, results, start=3.5, status=STATUS_ABORTED)
-    assert window.series() == results.per_second_throughput()
+        feed(window, samples, start=i * 0.25,
+             txn="AB"[i % 2])  # 4 commits/second
+    feed(window, samples, start=3.5, status=STATUS_ABORTED)
+    assert window.series() == ref.per_second_throughput(samples)
+    for txn in "AB":
+        assert window.series(txn_name=txn) == \
+            ref.per_second_throughput(samples, txn)
+    assert window.series(txn_name="missing") == []
 
 
 def test_window_stats_match_batch_throughput_exactly():
     """Same floor bucketing both sides: the window numbers are exact."""
     window = ThroughputWindow()
-    results = Results()
+    samples = []
     for i in range(80):
-        feed(window, results, start=i * 0.125)  # ends within [0, 10)
+        feed(window, samples, start=i * 0.125)  # ends within [0, 10)
     now = 10.0
     for w in (2, 5, 10):
         stats = window.window_stats(now, float(w))
-        assert stats["throughput"] == pytest.approx(
-            results.throughput(window=(now - w, now)))
+        assert stats["throughput"] == \
+            ref.throughput(samples, window=(now - w, now))
 
 
 def test_window_excludes_current_incomplete_second():
@@ -85,6 +92,10 @@ def test_eviction_marks_history_incomplete():
     assert not window.complete()
     # Only the seconds within the retained horizon are reported.
     assert window.series() == [(2, 1), (3, 1), (4, 1), (5, 1)]
+    assert window.series(start=2) == [(2, 1), (3, 1), (4, 1), (5, 1)]
+    # A bounded query reaching back into evicted seconds is refused.
+    with pytest.raises(ValueError, match="evicted"):
+        window.series(start=1, end=4)
 
 
 def test_stale_samples_are_dropped_and_counted():
@@ -102,20 +113,6 @@ def test_series_range_arguments():
         window.record(second + 0.1, "T", 0.01, STATUS_OK)
     assert window.series(start=1, end=4) == [(1, 1), (2, 1), (3, 1)]
     assert ThroughputWindow().series() == []
-
-
-def test_merge_combines_per_second_counts():
-    a, b = ThroughputWindow(), ThroughputWindow()
-    a.record(1.0, "A", 0.02, STATUS_OK)
-    b.record(1.5, "B", 0.04, STATUS_OK)
-    b.record(2.5, "B", 0.04, STATUS_ABORTED)
-    a.merge(b)
-    assert a.series() == [(1, 2)]
-    stats = a.window_stats(3.0, 2.0)
-    assert stats["committed"] == 2
-    assert stats["aborts_per_sec"] == pytest.approx(0.5)
-    a.merge(ThroughputWindow())  # merging an empty window is a no-op
-    assert a.series() == [(1, 2)]
 
 
 def test_rejects_nonpositive_history():

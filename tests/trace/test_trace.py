@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.results import LatencySample, Results, STATUS_ABORTED
+from repro.metrics import StreamingMetrics
 from repro.trace import TraceAnalyzer, TraceWriter, read_trace
 
 
@@ -109,4 +110,30 @@ def test_queue_delay_percentile():
 def test_report_shape():
     analyzer = TraceAnalyzer(make_results(lambda s: 5))
     report = analyzer.report()
-    assert set(report) == {"summary", "jitter", "series"}
+    assert set(report) == {"summary", "jitter", "series",
+                           "series_complete"}
+    assert report["series_complete"] is True
+
+
+def test_report_flags_a_series_the_ring_truncated():
+    """A run longer than the metrics ring loses its oldest seconds; the
+    report says so instead of presenting the remainder as the run."""
+    results = Results(StreamingMetrics(history_seconds=4))
+    for second in range(10):
+        results.record(LatencySample("T", second + 0.5, 0.0, 0.01))
+    report = TraceAnalyzer(results).report()
+    assert report["series_complete"] is False
+    assert [second for second, _ in report["series"]] == [6, 7, 8, 9]
+    assert results.throughput((6, 10)) == 1.0
+    with pytest.raises(ValueError, match="evicted"):
+        results.throughput((0, 4))  # gone, not zero
+
+
+def test_per_txn_series_reads_the_ring():
+    results = make_results(lambda s: 2 + s % 2, seconds=4)
+    results.record(LatencySample("X", 1.5, 0.0, 0.01))
+    results.record(LatencySample("X", 2.5, 0.0, 0.01, STATUS_ABORTED))
+    analyzer = TraceAnalyzer(results)
+    assert analyzer.per_txn_series("T") == [(0, 2), (1, 3), (2, 2), (3, 3)]
+    assert analyzer.per_txn_series("X") == [(1, 1)]
+    assert analyzer.per_txn_series("missing") == []

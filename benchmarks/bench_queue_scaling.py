@@ -1,19 +1,11 @@
-"""Experiment — driver scaling: sharded queue + process-parallel tenants.
+"""Experiment — driver scaling: batched take + process-parallel tenants.
 
-Three acceptance claims for the scaled driver (DESIGN.md §11):
+Two acceptance claims for the scaled driver (DESIGN.md §11):
 
-* **Equivalence oracle** — the sharded request queue is *physically*
-  partitioned but *logically* identical to the single-deque layout: on
-  the same seeded arrival schedule with the same drain capacity, every
-  shard count sheds exactly the same number of requests (identical
-  ``postponed`` counters), preserves ``offered == taken + postponed +
-  depth``, and the deterministic ``poll`` drain pops requests in exactly
-  the same global order.
 * **Capacity** — at 4 tenants under a saturating offered rate, the
-  process-per-tenant driver (sharded queue, batched take, buffered
-  samples) delivers at least 2x the throughput of the seed-configuration
-  driver (single-process, single shard, ``take_batch=1``, per-sample
-  recording).
+  process-per-tenant driver (batched take, buffered samples) delivers
+  at least 2x the throughput of the seed-configuration driver
+  (single-process, ``take_batch=1``, per-sample recording).
 * **Fidelity** — at the paper-style reference rate the scaled driver is
   not *trading* accuracy for speed: it still delivers >= 98% of the
   requested transactions, and the queue invariant holds in every tenant
@@ -25,10 +17,7 @@ per-transaction hot path, and sample recording — which is exactly the
 subsystem under test.
 """
 
-import random
-
-from repro.clock import SimClock
-from repro.core import (Phase, ProcessExecutor, RequestQueue, TenantSpec,
+from repro.core import (Phase, ProcessExecutor, TenantSpec,
                         ThreadedExecutor, WorkloadConfiguration,
                         WorkloadManager)
 from repro.core.benchmark import BenchmarkModule
@@ -37,21 +26,10 @@ from repro.engine import Database
 
 from conftest import once, report
 
-# -- oracle schedule ---------------------------------------------------------
-
-SHARD_COUNTS = (1, 2, 4, 8)
-ORACLE_SECONDS = 20
-ORACLE_RATE = 300      # offered requests per second (upper bound)
-ORACLE_CAPACITY = 180  # drained per second (slower than offered -> shedding)
-ORACLE_SEED = 1337
-
-# -- capacity / fidelity runs ------------------------------------------------
-
 TENANTS = 4
 SEED_WORKERS = 8        # per tenant, the seed driver's default pool
 PROC_WORKERS = 2        # per tenant process; this host has one CPU
 PROC_TAKE_BATCH = 128
-PROC_SHARDS = 4
 CAPACITY_RATE = 60_000  # per tenant per second: saturates the driver
 CAPACITY_DURATION = 5.0
 REFERENCE_RATE = 10_000  # per tenant per second: the fidelity check
@@ -91,68 +69,7 @@ def _noop_factory(spec: TenantSpec) -> NoOpBench:
     return bench
 
 
-# -- part 1: sharded-vs-single equivalence oracle ----------------------------
-
-def make_schedule(seed: int) -> list[tuple[list[float], int]]:
-    """Seeded (arrivals, drain capacity) pairs, one per second.
-
-    Both the offered count and the drain capacity jitter around their
-    means so the backlog oscillates: some seconds shed, some drain dry —
-    the shedding edge cases are where a sharding bug would hide.
-    """
-    rng = random.Random(seed)
-    schedule = []
-    for second in range(ORACLE_SECONDS):
-        count = rng.randint(ORACLE_RATE // 2, ORACLE_RATE)
-        arrivals = sorted(second + rng.random() for _ in range(count))
-        capacity = rng.randint(ORACLE_CAPACITY // 2, ORACLE_CAPACITY)
-        schedule.append((arrivals, capacity))
-    return schedule
-
-
-def replay_poll(schedule, shards: int):
-    """Replay via ``poll`` (globally earliest pop: fully deterministic)."""
-    queue = RequestQueue(clock=SimClock(), shards=shards)
-    order = []
-    for second, (arrivals, capacity) in enumerate(schedule):
-        queue.offer_batch(arrivals)
-        now = second + 1.0
-        for _ in range(capacity):
-            request = queue.poll(now)
-            if request is None:
-                break
-            order.append((request.arrival_time, request.seq))
-    return queue.counters(), order
-
-
-def replay_take_batch(schedule, shards: int):
-    """Replay via the batched consumer path (``take_batch``)."""
-    clock = SimClock()
-    queue = RequestQueue(clock=clock, shards=shards)
-    taken = 0
-    for second, (arrivals, capacity) in enumerate(schedule):
-        queue.offer_batch(arrivals)
-        clock.run_until(second + 1.0)
-        taken += len(queue.take_batch(capacity, timeout=0.0))
-    return queue.counters(), taken
-
-
-def run_oracle():
-    schedule = make_schedule(ORACLE_SEED)
-    rows = []
-    results = {}
-    for shards in SHARD_COUNTS:
-        counters, order = replay_poll(schedule, shards)
-        batch_counters, batch_taken = replay_take_batch(schedule, shards)
-        results[shards] = (counters, order, batch_counters, batch_taken)
-        rows.append((f"{shards} shard(s)",
-                     counters["offered"], counters["taken"],
-                     counters["postponed"], counters["depth"],
-                     batch_counters["postponed"]))
-    return schedule, rows, results
-
-
-# -- parts 2+3: capacity ratio and reference-rate fidelity -------------------
+# -- capacity ratio and reference-rate fidelity -----------------------------
 
 def _config(tenant: str, workers: int, seed: int, rate: float,
             duration: float) -> WorkloadConfiguration:
@@ -162,7 +79,7 @@ def _config(tenant: str, workers: int, seed: int, rate: float,
 
 
 def run_seed_driver(rate: float, duration: float):
-    """The seed-configuration driver: one process, unsharded, unbatched."""
+    """The seed-configuration driver: one process, unbatched, unbuffered."""
     executor = ThreadedExecutor(Database(), take_batch=1,
                                 buffer_samples=False)
     managers = []
@@ -171,8 +88,7 @@ def run_seed_driver(rate: float, duration: float):
         bench.load()
         config = _config(f"tenant-{index}", SEED_WORKERS, 42 + index,
                          rate, duration)
-        manager = WorkloadManager(bench, config, clock=executor.clock,
-                                  queue_shards=1)
+        manager = WorkloadManager(bench, config, clock=executor.clock)
         executor.add_workload(manager)
         managers.append(manager)
     executor.run(timeout=duration + 30)
@@ -182,14 +98,14 @@ def run_seed_driver(rate: float, duration: float):
 
 
 def run_process_driver(rate: float, duration: float):
-    """The scaled driver: process per tenant, sharded + batched queue."""
+    """The scaled driver: process per tenant, batched take."""
     executor = ProcessExecutor(stats_interval=5.0)
     for index in range(TENANTS):
         config = _config(f"tenant-{index}", PROC_WORKERS, 42 + index,
                          rate, duration)
         executor.add_tenant(TenantSpec(
             config=config, benchmark_factory=_noop_factory,
-            queue_shards=PROC_SHARDS, take_batch=PROC_TAKE_BATCH))
+            take_batch=PROC_TAKE_BATCH))
     run_report = executor.run(timeout=duration + 30)
     assert run_report["ok"], run_report.get("error")
     delivered = sum(len(results) for results
@@ -217,33 +133,6 @@ def _check_invariant(counters):
                                              + queue_counters["depth"])
 
 
-def test_sharded_queue_equivalence_oracle(benchmark):
-    schedule, rows, results = once(benchmark, run_oracle)
-    report(
-        "Sharded queue equivalence oracle",
-        ["Layout", "Offered", "Taken", "Postponed", "Depth",
-         "Postponed (batched)"],
-        rows,
-        notes="claim: identical postponed counts for every shard count, "
-              "on both the poll and the take_batch drain")
-
-    offered = sum(len(arrivals) for arrivals, _capacity in schedule)
-    base_counters, base_order, base_batch, base_taken = \
-        results[SHARD_COUNTS[0]]
-    assert base_counters["offered"] == offered
-    assert base_counters["postponed"] > 0  # the schedule actually sheds
-    for shards in SHARD_COUNTS:
-        counters, order, batch_counters, batch_taken = results[shards]
-        # Identical accounting in every layout...
-        assert counters == base_counters
-        # ...request-for-request identical pop order on the poll drain...
-        assert order == base_order
-        # ...and identical shedding on the batched consumer path too.
-        assert batch_counters["postponed"] == base_batch["postponed"]
-        assert batch_taken == base_taken
-        _check_invariant([counters, batch_counters])
-
-
 def test_process_driver_capacity_and_fidelity(benchmark):
     (seed_delivered, seed_counters, proc_delivered, proc_counters,
      ref_delivered, ref_counters) = once(benchmark, run_scaling)
@@ -255,11 +144,11 @@ def test_process_driver_capacity_and_fidelity(benchmark):
         "Driver scale-out at 4 tenants",
         ["Driver", "Rate/tenant", "Duration", "Delivered", "Delivered/s",
          "vs seed"],
-        [("seed: 1 process, shards=1, take=1, unbuffered", CAPACITY_RATE,
+        [("seed: 1 process, take=1, unbuffered", CAPACITY_RATE,
           CAPACITY_DURATION, seed_delivered,
           round(seed_delivered / CAPACITY_DURATION), 1.0),
-         (f"scaled: {TENANTS} processes, shards={PROC_SHARDS}, "
-          f"take={PROC_TAKE_BATCH}, buffered", CAPACITY_RATE,
+         (f"scaled: {TENANTS} processes, take={PROC_TAKE_BATCH}, "
+          "buffered", CAPACITY_RATE,
           CAPACITY_DURATION, proc_delivered,
           round(proc_delivered / CAPACITY_DURATION), round(ratio, 2)),
          ("scaled @ reference rate", REFERENCE_RATE, REFERENCE_DURATION,

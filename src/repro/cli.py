@@ -52,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--config", help="JSON workload configuration file "
                                       "(overrides rate/duration)")
-    run.add_argument("--queue-shards", type=int, default=None,
-                     metavar="N",
-                     help="shard the request queue N ways (default: "
-                          "$REPRO_QUEUE_SHARDS or 1)")
     run.add_argument("--take-batch", type=int, default=None, metavar="N",
                      help="workers dequeue up to N due requests per queue "
                           "visit (threaded executor only; default: "
@@ -183,8 +179,7 @@ def cmd_run(args) -> int:
 
     if args.threaded:
         executor = ThreadedExecutor(db, take_batch=args.take_batch)
-        manager = WorkloadManager(bench, config,
-                                  queue_shards=args.queue_shards)
+        manager = WorkloadManager(bench, config)
         executor.add_workload(manager)
         _apply_chaos(manager, args)
         run_report = executor.run(timeout=config.total_duration() + 30)
@@ -192,8 +187,7 @@ def cmd_run(args) -> int:
             print(f"warning: {run_report['error']}", file=sys.stderr)
     else:
         clock = SimClock()
-        manager = WorkloadManager(bench, config, clock=clock,
-                                  queue_shards=args.queue_shards)
+        manager = WorkloadManager(bench, config, clock=clock)
         executor = SimulatedExecutor(db, args.dbms, clock)
         executor.add_workload(manager)
         _apply_chaos(manager, args)

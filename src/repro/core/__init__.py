@@ -16,7 +16,7 @@ from .rates import ArrivalSchedule
 from .replay import (phases_from_csv, phases_from_results,
                      phases_from_series)
 from .requestqueue import (POLICY_BACKLOG, POLICY_CAP, Request,
-                           RequestQueue, default_shards)
+                           RequestQueue)
 from .results import (DirectRecorder, LatencySample, Results, SampleBuffer,
                       STATUS_ABORTED, STATUS_ERROR, STATUS_OK, merge,
                       percentile)
@@ -27,7 +27,7 @@ __all__ = [
     "SimulatedExecutor", "ThreadedExecutor", "default_take_batch",
     "WorkloadManager", "MultiTenantCoordinator", "Tenant",
     "ProcessExecutor", "TenantSpec",
-    "default_shards", "SampleBuffer", "DirectRecorder",
+    "SampleBuffer", "DirectRecorder",
     "ARRIVAL_EXPONENTIAL", "ARRIVAL_UNIFORM", "Phase",
     "RATE_DISABLED", "RATE_UNLIMITED", "UNLIMITED_RATE_CONSTANT",
     "normalize_weights", "Procedure", "UserAbort", "ArrivalSchedule",

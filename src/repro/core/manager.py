@@ -47,16 +47,14 @@ class WorkloadManager:
                  config: WorkloadConfiguration,
                  clock: Optional[Clock] = None,
                  results: Optional[Results] = None,
-                 queue_policy: str = POLICY_CAP,
-                 queue_shards: Optional[int] = None) -> None:
+                 queue_policy: str = POLICY_CAP) -> None:
         if not config.phases:
             raise ConfigurationError("configuration has no phases")
         config.validated_against(benchmark.procedure_names())
         self.benchmark = benchmark
         self.config = config
         self.clock = clock or RealClock()
-        self.queue = RequestQueue(clock=self.clock, policy=queue_policy,
-                                  shards=queue_shards)
+        self.queue = RequestQueue(clock=self.clock, policy=queue_policy)
         self.results = results or Results()
         self.tenant = config.tenant
 
@@ -414,7 +412,7 @@ class WorkloadManager:
             now = self.clock.now()
         snapshot = self.results.metrics.snapshot(
             now, window,
-            queue={**self.queue.counters(), "shards": self.queue.shards},
+            queue=self.queue.counters(),
             resilience=self.resilience_payload())
         snapshot["engine"] = self.benchmark.database.cache_stats()
         snapshot["recording"] = self.results.recorder_stats()

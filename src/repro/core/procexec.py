@@ -5,7 +5,7 @@ worker pool inside one Python process, so all tenants share one GIL — at
 driver-capacity rates the interpreter itself becomes the bottleneck the
 paper's Workload Manager is supposed to never be.  :class:`ProcessExecutor`
 escapes it: each tenant gets its own child process owning its own engine
-instance, benchmark dataset, sharded request queue, and (batched)
+instance, benchmark dataset, request queue, and (batched)
 ThreadedExecutor, so each request takes the same per-request path
 (breaker admission, then ``executors._execute``) as on the in-process
 substrates; the parent coordinates a ready/go barrier so data
@@ -65,7 +65,6 @@ class TenantSpec:
     benchmark_factory: Optional[Callable[["TenantSpec"], BenchmarkModule]] \
         = None
     benchmark_kwargs: dict = field(default_factory=dict)
-    queue_shards: Optional[int] = None
     take_batch: Optional[int] = None
     buffer_samples: bool = True
     workers: Optional[int] = None
@@ -94,9 +93,7 @@ def _tenant_main(spec: TenantSpec, conn) -> None:
         executor = ThreadedExecutor(bench.database,
                                     take_batch=spec.take_batch,
                                     buffer_samples=spec.buffer_samples)
-        manager = WorkloadManager(bench, spec.config,
-                                  clock=executor.clock,
-                                  queue_shards=spec.queue_shards)
+        manager = WorkloadManager(bench, spec.config, clock=executor.clock)
         executor.add_workload(manager, workers=spec.workers)
         conn.send(("ready", spec.config.tenant))
         message = conn.recv()
@@ -130,7 +127,6 @@ def _tenant_main(spec: TenantSpec, conn) -> None:
             "tenant": spec.config.tenant,
             "postponed": manager.results.postponed,
             "queue": manager.queue.counters(),
-            "queue_shards": manager.queue.shards,
             "recording": manager.results.recorder_stats(),
         })
         conn.send(("done", report))

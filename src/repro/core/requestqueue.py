@@ -21,39 +21,19 @@ Two backlog policies are implemented (the postponement ablation):
 A request may also never be taken before its scheduled arrival timestamp;
 this is what spreads execution uniformly/exponentially within each second.
 
-Sharding
---------
-
-The queue is *logically* centralized (one accounting domain, one control
-surface) but *physically* sharded: requests are distributed round-robin by
-sequence number over N per-shard deques, each behind its own lock, so at
-high target rates producers and consumers stop serializing on a single
-mutex.  The shard count comes from the ``shards`` argument or the
-``REPRO_QUEUE_SHARDS`` environment variable (default 1, the paper-faithful
-layout).  Because assignment is round-robin over globally arrival-sorted
-batches, every shard's deque stays sorted by arrival time, and cap-policy
-shedding per shard removes exactly the same request set a single deque
-would — the global invariant
-
-    offered == taken + postponed + depth
-
-holds for any shard count, and the postponement counts are *identical* to
-the single-queue layout on the same schedule (proved by the equivalence
-oracle in ``benchmarks/bench_queue_scaling.py``).
-
-Wakeup discipline: blocking takers synchronize on one condition variable
-(``_not_empty``) guarded by a generation counter — producers bump the
-generation and ``notify(len(batch))`` (proportional to the work added, not
-``notify_all``), and a taker that scanned the shards re-checks the
-generation before parking, so no wakeup is ever lost.
+The queue is one arrival-ordered deque.  One condition variable guards
+the deque, the ``offered`` / ``taken`` / ``postponed`` counters and the
+pause/shutdown state, so ``offered == taken + postponed + depth`` holds
+at every observation.  A blocking taker scans and parks under that same
+lock, so no wakeup is lost; producers wake takers with
+``notify(len(batch))`` (proportional to the work added, not
+``notify_all``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
-from contextlib import ExitStack
 from typing import Optional
 
 from ..clock import Clock, RealClock
@@ -61,26 +41,6 @@ from ..errors import ConfigurationError
 
 POLICY_CAP = "cap"
 POLICY_BACKLOG = "backlog"
-
-#: Environment override for the default shard count.
-SHARDS_ENV = "REPRO_QUEUE_SHARDS"
-_MAX_SHARDS = 64
-
-
-def default_shards() -> int:
-    """Shard count from ``REPRO_QUEUE_SHARDS`` (default 1)."""
-    raw = os.environ.get(SHARDS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SHARDS_ENV} must be an integer, got {raw!r}") from None
-    if not 1 <= value <= _MAX_SHARDS:
-        raise ConfigurationError(
-            f"{SHARDS_ENV} must be in [1, {_MAX_SHARDS}], got {value}")
-    return value
 
 
 class Request:
@@ -112,48 +72,24 @@ class Request:
                f"seq={self.seq!r})"
 
 
-class _Shard:
-    """One lock-protected deque plus its slice of the accounting."""
-
-    __slots__ = ("lock", "queue", "offered", "taken", "postponed")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.queue: deque[Request] = deque()
-        self.offered = 0
-        self.taken = 0
-        self.postponed = 0
-
-
 class RequestQueue:
     """Thread-safe central queue with scheduled arrival times."""
 
     def __init__(self, clock: Optional[Clock] = None,
-                 policy: str = POLICY_CAP,
-                 shards: Optional[int] = None) -> None:
+                 policy: str = POLICY_CAP) -> None:
         if policy not in (POLICY_CAP, POLICY_BACKLOG):
             raise ConfigurationError(f"unknown queue policy {policy!r}")
-        if shards is None:
-            shards = default_shards()
-        if not 1 <= shards <= _MAX_SHARDS:
-            raise ConfigurationError(
-                f"shards must be in [1, {_MAX_SHARDS}], got {shards}")
         self.policy = policy
         self.clock = clock or RealClock()
-        self.shards = shards
-        self._shards = [_Shard() for _ in range(shards)]
-        # Control state (pause/shutdown) and the taker parking lot.  The
-        # generation counter increments on every event that could unblock
-        # a taker; a taker re-checks it between scanning the shards and
-        # parking, which closes the lost-wakeup window without requiring
-        # producers to hold more than one lock at a time.
-        self._mutex = threading.Lock()
-        self._not_empty = threading.Condition(self._mutex)
-        self._gen = 0
+        self._queue: deque[Request] = deque()
+        self._not_empty = threading.Condition(threading.Lock())
         self._seq = 0
         self._paused = False
         self._shutdown = False
-        self._rotor = 0  # take_batch fairness: rotating start shard
+        # Requested-vs-delivered accounting, written under the lock.
+        self.offered = 0
+        self.taken = 0
+        self.postponed = 0
 
     # -- producer side (Workload Manager) ----------------------------------
 
@@ -161,45 +97,28 @@ class RequestQueue:
         """Add one second's worth of requests; returns number postponed.
 
         Under the ``cap`` policy, requests from previous batches that are
-        already past their arrival time but unserved are shed first.  The
-        batch is partitioned round-robin across the shards and each shard
-        is updated in a single lock acquisition — one pass per shard, no
-        matter how large the second's batch is.
+        still queued when the new batch starts are shed first.
         """
         if not arrivals:
             return 0
-        with self._mutex:
-            base_seq = self._seq
-            self._seq += len(arrivals)
-        nshards = self.shards
-        batch_start = arrivals[0]
-        shed_cap = self.policy == POLICY_CAP
-        total_shed = 0
-        for index, shard in enumerate(self._shards):
-            # Round-robin by global sequence number: request i of this
-            # batch (seq base_seq + 1 + i) lands on shard (base_seq + i)
-            # mod N, keeping every shard's deque sorted by arrival time.
-            first = (index - base_seq) % nshards
-            slice_ = [Request(arrivals[i], base_seq + 1 + i)
-                      for i in range(first, len(arrivals), nshards)]
-            with shard.lock:
-                if shed_cap:
-                    pending = shard.queue
-                    while pending and \
-                            pending[0].arrival_time < batch_start:
-                        pending.popleft()
-                        shard.postponed += 1
-                        total_shed += 1
-                if slice_:
-                    shard.queue.extend(slice_)
-                    shard.offered += len(slice_)
+        shed = 0
         with self._not_empty:
-            self._gen += 1
+            pending = self._queue
+            if self.policy == POLICY_CAP:
+                batch_start = arrivals[0]
+                while pending and pending[0].arrival_time < batch_start:
+                    pending.popleft()
+                    shed += 1
+                self.postponed += shed
+            seq = self._seq
+            pending.extend(map(Request, arrivals,
+                               range(seq + 1, seq + 1 + len(arrivals))))
+            self._seq = seq + len(arrivals)
+            self.offered += len(arrivals)
             # Proportional wakeup: at most len(arrivals) takers can make
-            # progress on this batch, so waking more only recreates the
-            # notify_all thundering herd the shards exist to avoid.
+            # progress on this batch, so waking more is a thundering herd.
             self._not_empty.notify(len(arrivals))
-        return total_shed
+        return shed
 
     def clear(self) -> int:
         """Drop all pending requests (phase transition with rate change).
@@ -208,23 +127,13 @@ class RequestQueue:
         they count as postponed — otherwise offered/taken/postponed
         accounting silently drifts on every rate-changing transition.
         Blocked :meth:`take` callers are woken so they re-check state
-        instead of sleeping until a cleared request's arrival time.  All
-        shard locks are held together so the drop is atomic against
-        concurrent offers.
+        instead of sleeping until a cleared request's arrival time.
         """
-        dropped = 0
-        with ExitStack() as stack:
-            # Shard locks nest in index order only (lockwatch-clean).
-            for shard in self._shards:
-                stack.enter_context(shard.lock)
-            for shard in self._shards:
-                count = len(shard.queue)
-                shard.queue.clear()
-                shard.postponed += count
-                dropped += count
-        if dropped:
-            with self._not_empty:
-                self._gen += 1
+        with self._not_empty:
+            dropped = len(self._queue)
+            self._queue.clear()
+            self.postponed += dropped
+            if dropped:
                 self._not_empty.notify_all()
         return dropped
 
@@ -237,52 +146,19 @@ class RequestQueue:
         transition's :meth:`clear`.
         """
         dropped = 0
-        for shard in self._shards:
-            with shard.lock:
-                pending = shard.queue
-                while pending and pending[0].arrival_time <= now:
-                    pending.popleft()
-                    shard.postponed += 1
-                    dropped += 1
+        with self._not_empty:
+            pending = self._queue
+            while pending and pending[0].arrival_time <= now:
+                pending.popleft()
+                dropped += 1
+            self.postponed += dropped
         return dropped
 
     def counters(self) -> dict[str, int]:
-        """Consistent snapshot of the requested-vs-delivered accounting.
-
-        All shard locks are held together, so the four numbers always
-        satisfy ``offered == taken + postponed + depth`` exactly.
-        """
-        with ExitStack() as stack:
-            for shard in self._shards:
-                stack.enter_context(shard.lock)
-            return {
-                "offered": sum(s.offered for s in self._shards),
-                "taken": sum(s.taken for s in self._shards),
-                "postponed": sum(s.postponed for s in self._shards),
-                "depth": sum(len(s.queue) for s in self._shards),
-            }
-
-    def shard_depths(self) -> list[int]:
-        """Per-shard queue depths (metrics surfacing; racy but cheap)."""
-        depths = []
-        for shard in self._shards:
-            with shard.lock:
-                depths.append(len(shard.queue))
-        return depths
-
-    # -- aggregate counters (read as attributes by tests/reports) ----------
-
-    @property
-    def offered(self) -> int:
-        return sum(s.offered for s in self._shards)
-
-    @property
-    def taken(self) -> int:
-        return sum(s.taken for s in self._shards)
-
-    @property
-    def postponed(self) -> int:
-        return sum(s.postponed for s in self._shards)
+        """Consistent snapshot of the requested-vs-delivered accounting."""
+        with self._not_empty:
+            return {"offered": self.offered, "taken": self.taken,
+                    "postponed": self.postponed, "depth": len(self._queue)}
 
     # -- consumer side (workers) -----------------------------------------------
 
@@ -301,119 +177,57 @@ class RequestQueue:
                    timeout: Optional[float] = None) -> list[Request]:
         """Pop up to ``max_n`` due requests in one pass, arrival-ordered.
 
-        The hot path of the batched driver: a worker drains whole runs of
-        due requests with one lock acquisition per visited shard instead
-        of one condition-variable dance per request.  Blocks (like
-        :meth:`take`) until at least one request is due; returns ``[]`` on
-        shutdown or timeout.  The returned batch is sorted by arrival
-        time; the scan start rotates across shards for fairness.
+        The hot path of the batched driver: a worker drains a whole run
+        of due requests under one lock acquisition instead of one
+        condition-variable dance per request.  Blocks (like :meth:`take`)
+        until at least one request is due; returns ``[]`` on shutdown or
+        timeout.
         """
         if max_n <= 0:
             raise ConfigurationError("take_batch max_n must be positive")
         deadline = (self.clock.now() + timeout) if timeout is not None \
             else None
-        while True:
-            with self._not_empty:
-                if self._shutdown:
-                    return []
-                gen = self._gen
-                paused = self._paused
-            next_arrival: Optional[float] = None
-            if not paused:
+        pending = self._queue
+        with self._not_empty:
+            while not self._shutdown:
                 now = self.clock.now()
-                batch, next_arrival = self._pop_due(now, max_n)
-                if batch:
-                    if len(batch) > 1:
-                        batch.sort(key=lambda r: r.arrival_time)
-                    return batch
-            now = self.clock.now()
-            wait: Optional[float] = None
-            if next_arrival is not None:
-                wait = max(0.0, next_arrival - now)
-            if deadline is not None:
-                remaining = deadline - now
-                if remaining <= 0:
-                    return []
-                wait = remaining if wait is None else min(wait, remaining)
-            with self._not_empty:
-                if self._shutdown:
-                    return []
-                if self._gen != gen:
-                    continue  # state changed since the scan: rescan
-                self._not_empty.wait(wait)
-
-    def _pop_due(self, now: float,
-                 max_n: int) -> tuple[list[Request], Optional[float]]:
-        """Drain up to ``max_n`` due requests; also report next arrival.
-
-        Visits shards starting at a rotating index so single-request
-        takers don't all hammer shard 0.  Returns the popped batch and
-        the earliest future arrival seen (for the caller's park timeout).
-        """
-        batch: list[Request] = []
-        next_arrival: Optional[float] = None
-        nshards = self.shards
-        start = self._rotor
-        self._rotor = (start + 1) % nshards
-        for step in range(nshards):
-            shard = self._shards[(start + step) % nshards]
-            with shard.lock:
-                pending = shard.queue
-                while pending and len(batch) < max_n:
-                    head = pending[0]
-                    if head.arrival_time > now:
-                        break
-                    pending.popleft()
-                    shard.taken += 1
-                    batch.append(head)
-                if pending:
+                wait: Optional[float] = None
+                if pending and not self._paused:
                     head_time = pending[0].arrival_time
-                    if head_time > now and (next_arrival is None
-                                            or head_time < next_arrival):
-                        next_arrival = head_time
-            if len(batch) >= max_n:
-                break
-        return batch, next_arrival
+                    if head_time <= now:
+                        batch = [pending.popleft()]
+                        while (len(batch) < max_n and pending
+                               and pending[0].arrival_time <= now):
+                            batch.append(pending.popleft())
+                        self.taken += len(batch)
+                        return batch
+                    wait = head_time - now
+                if deadline is not None:
+                    remaining = deadline - now
+                    if remaining <= 0:
+                        return []
+                    wait = remaining if wait is None else min(wait,
+                                                              remaining)
+                self._not_empty.wait(wait)
+        return []
 
     def poll(self, now: float) -> Optional[Request]:
-        """Non-blocking take of the globally earliest due request.
+        """Non-blocking take of the head request if it is due.
 
-        Deterministic across shard counts (used by the simulated
-        executor): scans every shard head and pops the minimum arrival,
-        exactly what a single deque's head would be.
+        Used by the simulated executor, which advances virtual time
+        itself instead of blocking.
         """
         with self._not_empty:
-            if self._shutdown or self._paused:
+            pending = self._queue
+            if (self._shutdown or self._paused or not pending
+                    or pending[0].arrival_time > now):
                 return None
-        best: Optional[_Shard] = None
-        best_key: Optional[tuple[float, int]] = None
-        for shard in self._shards:
-            with shard.lock:
-                if shard.queue:
-                    head = shard.queue[0]
-                    if head.arrival_time <= now:
-                        # Tie-break equal arrivals by sequence number so
-                        # pop order matches the single-deque layout.
-                        key = (head.arrival_time, head.seq)
-                        if best_key is None or key < best_key:
-                            best, best_key = shard, key
-        if best is None:
-            return None
-        with best.lock:
-            if best.queue and best.queue[0].arrival_time <= now:
-                best.taken += 1
-                return best.queue.popleft()
-        return None
+            self.taken += 1
+            return pending.popleft()
 
     def next_arrival(self) -> Optional[float]:
-        earliest: Optional[float] = None
-        for shard in self._shards:
-            with shard.lock:
-                if shard.queue:
-                    head_time = shard.queue[0].arrival_time
-                    if earliest is None or head_time < earliest:
-                        earliest = head_time
-        return earliest
+        with self._not_empty:
+            return self._queue[0].arrival_time if self._queue else None
 
     # -- control -------------------------------------------------------------
 
@@ -421,12 +235,10 @@ class RequestQueue:
         """Block workers from pulling (the game's mixture-dialog pause)."""
         with self._not_empty:
             self._paused = True
-            self._gen += 1
 
     def resume(self) -> None:
         with self._not_empty:
             self._paused = False
-            self._gen += 1
             self._not_empty.notify_all()
 
     @property
@@ -436,8 +248,7 @@ class RequestQueue:
     def shutdown(self) -> None:
         with self._not_empty:
             self._shutdown = True
-            self._gen += 1
             self._not_empty.notify_all()
 
     def __len__(self) -> int:
-        return sum(self.shard_depths())
+        return len(self._queue)

@@ -13,7 +13,9 @@ growth factor minus one — with the default 32 bins per decade that is
 ``10 ** (1/32) - 1`` ≈ 7.5 %.  (The exact reference interpolates linearly
 *between* two sorted samples; when those straddle a sparse-tail gap the
 interpolated point itself can sit further away, but the bounding
-samples never do.)  ``min``, ``max``, ``avg`` (and therefore throughput
+samples never do.)  Below ``lower`` the bound is absolute, not relative:
+every such value shares bin 0, so a quantile there is off by at most
+bin 0's upper edge.  ``min``, ``max``, ``avg`` (and therefore throughput
 numbers) are exact, not binned.
 """
 
@@ -36,8 +38,12 @@ class LatencyHistogram:
     """Log-spaced latency histogram: O(1) record, O(bins) quantiles.
 
     Values below ``lower`` land in the first bin, values above ``upper``
-    in the last; interpolated quantiles are clamped to the exact observed
-    ``[min, max]`` so out-of-range values cannot inflate the error.
+    in the last.  A quantile interpolates inside its bin, whose edges are
+    clamped to the exact observed ``[min, max]``: bin 0 spans ``[min,
+    its upper edge]`` and the last bin ``[its lower edge, max]``, so
+    quantiles stay non-decreasing and inside ``[min, max]``.  Below
+    ``lower`` the error bound is therefore absolute (at most bin 0's
+    upper edge), not relative.
 
     Not thread-safe on its own — :class:`~repro.metrics.stream.
     StreamingMetrics` serialises access.
@@ -158,10 +164,15 @@ class LatencyHistogram:
             if n == 0:
                 continue
             if cumulative + n > rank:
+                # Bin 0 also holds everything below ``lower`` and the
+                # last bin everything above ``upper``: their outer edge
+                # is the exact min / max.
                 lo, hi = self._edges(index)
-                frac = (rank - cumulative + 0.5) / n
-                value = lo + frac * (hi - lo)
-                return max(self.min, min(self.max, value))
+                lo = self.min if index == 0 else max(self.min, lo)
+                hi = self.max if index == self._nbins - 1 \
+                    else min(self.max, hi)
+                frac = min(1.0, (rank - cumulative + 0.5) / n)
+                return lo + frac * (hi - lo)
             cumulative += n
         return self.max
 

@@ -134,7 +134,7 @@ def test_run_again_without_fresh_workload_rejected(db):
         executor.run(timeout=10)  # every added workload already ran
 
 
-# -- batched hot path (sharded queue + buffered recording) ---------------
+# -- batched hot path (batched take + buffered recording) ----------------
 
 
 def test_take_batch_knob_validated(db):

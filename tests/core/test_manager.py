@@ -205,9 +205,8 @@ def test_metrics_payload_shape(mini_benchmark):
     assert payload["tenant"] == manager.tenant
     assert payload["state"] == "running"
     assert set(payload["queue"]) == {"offered", "taken", "postponed",
-                                     "depth", "shards"}
+                                     "depth"}
     assert payload["queue"]["offered"] == 100
-    assert payload["queue"]["shards"] == manager.queue.shards
     assert payload["recording"] == manager.results.recorder_stats()
     assert "throughput" in payload["window"]
     assert "total" in payload["latency"]

@@ -12,7 +12,7 @@ def make_spec(i, rate=150, duration=2.0, benchmark="voter"):
         benchmark=benchmark, scale_factor=0.1, workers=2, seed=42 + i,
         tenant=f"tenant-{i}",
         phases=[Phase(duration=duration, rate=rate)])
-    return TenantSpec(config=config, queue_shards=2, take_batch=8)
+    return TenantSpec(config=config, take_batch=8)
 
 
 def test_requires_tenants():
@@ -45,7 +45,6 @@ def test_two_tenant_run_relays_results():
         assert counters["offered"] == (counters["taken"]
                                        + counters["postponed"]
                                        + counters["depth"])
-        assert child["queue_shards"] == 2
         assert child["recording"]["sample_batches"] >= 1
         assert results.committed() > 0
     combined = executor.combined_results()

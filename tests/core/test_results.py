@@ -180,7 +180,7 @@ def test_record_feeds_streaming_metrics_once():
     assert snap["window"]["throughput"] == pytest.approx(1.0)
 
 
-# -- batched recording (sharded-driver hot path) --------------------------
+# -- batched recording (batched-driver hot path) --------------------------
 
 
 def test_record_batch_matches_per_sample_record():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.results import percentile
 from repro.metrics import LatencyHistogram, make_histogram
+from repro.metrics.histogram import PERCENTILE_POINTS
 
 
 def test_layout_defaults():
@@ -165,3 +166,28 @@ def test_index_is_monotone_in_value():
     assert indices[0] == 0
     assert indices[-1] == h.nbins - 1
     assert math.isfinite(h.relative_error)
+
+
+def test_sub_lower_quantiles_stay_ordered_inside_observed_range():
+    """Values below ``lower`` share bin 0, interpolated from the exact min."""
+    h = LatencyHistogram()
+    for value in (1e-9, 1e-9, 1e-9, 5e-7):
+        h.record(value)
+    summary = h.percentiles()
+    points = [summary[f"p{pct:g}"] for pct in PERCENTILE_POINTS]
+    assert summary["p50"] < summary["max"]
+    assert points == sorted(points)
+    assert all(h.min <= value <= h.max for value in points)
+    # The bound below ``lower`` is absolute: bin 0's upper edge.
+    assert summary["p50"] - 1e-9 <= h._edges(0)[1]
+
+
+def test_quantiles_never_overshoot_into_the_next_bin():
+    """A sparse bin next to a dense one keeps quantiles non-decreasing."""
+    h = LatencyHistogram()
+    h.record(0.0100)
+    for _ in range(100):
+        h.record(0.0108)  # the next bin up
+    values = [h.quantile(step / 10) for step in range(1001)]
+    assert values == sorted(values)
+    assert all(h.min <= value <= h.max for value in values)

@@ -144,10 +144,17 @@ def test_next_arrival():
 def test_clear_counts_dropped_as_postponed():
     """Cleared requests were offered but never delivered: postponed."""
     queue = RequestQueue(clock=SimClock())
+    queue.offer_batch([0.0, 0.1, 0.2])
+    assert queue.clear() == 3
+    assert queue.postponed == 3
+    assert queue.clear() == 0  # idempotent, no double counting
+    assert queue.postponed == 3
+
+
+def test_clear_empties_queue_and_keeps_invariant():
+    queue = RequestQueue(clock=SimClock())
     queue.offer_batch([0.1 * i for i in range(17)])
     assert queue.clear() == 17
-    assert queue.postponed == 17
-    assert queue.clear() == 0  # idempotent, no double counting
     assert queue.postponed == 17
     assert len(queue) == 0
     assert_invariant(queue)

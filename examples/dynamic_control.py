@@ -34,9 +34,9 @@ def main() -> None:
     control = ControlApi()
     control.register(manager)
 
-    with ApiServer(control, port=0) as server:
+    with ApiServer(control, port=0) as server, \
+            ApiClient(server.url) as client:
         print(f"control API listening on {server.url}")
-        client = ApiClient(server.url)
 
         def director() -> None:
             """The 'player': a scripted sequence of control commands."""

@@ -16,11 +16,20 @@ It also dogfoods the resilience layer: a
 backoff.  HTTP error **responses** are never retried — a 4xx/5xx answer
 means the server made a decision; only failing to reach the server at
 all is transient.
+
+Each calling thread keeps one persistent connection and reuses it, so a
+poll costs one request/response exchange, not a TCP handshake and a new
+server thread.  A request that fails on a reused connection before any
+response arrives (the server closed it while idle) is resent once, at
+once, on a fresh connection; that resend is not a retry attempt.
+:meth:`ApiClient.close` (or leaving ``with ApiClient(...)``) closes every
+thread's connection.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from http.client import HTTPConnection, HTTPException
 from typing import Mapping, Optional
 from urllib.parse import urlparse
@@ -68,40 +77,90 @@ class ApiClient:
             max_attempts=3, backoff_base=0.05, backoff_max=0.5)
         self._clock = clock or RealClock()
         self._rng = make_rng(seed, "api-client", self._host, self._port)
+        self._local = threading.local()
+        #: Every thread's connection, for close().
+        self._connections: list[HTTPConnection] = []
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reconnects."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ApiClient":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # -- transport ----------------------------------------------------------
 
-    def _request_once(self, method: str, path: str,
-                      body: Optional[dict]) -> object:
-        conn = HTTPConnection(self._host, self._port, timeout=self._timeout)
+    def _connection(self) -> HTTPConnection:
+        """The calling thread's connection (opened on first use)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = HTTPConnection(self._host, self._port,
+                                  timeout=self._timeout)
+            self._local.conn = conn
+            with self._connections_lock:
+                self._connections.append(conn)
+        return conn
+
+    @staticmethod
+    def _exchange(conn: HTTPConnection, method: str, path: str,
+                  payload: Optional[bytes],
+                  headers: dict[str, str]) -> tuple[int, bytes]:
+        reused = conn.sock is not None
         try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if payload else {}
             conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()
-            data = json.loads(response.read() or b"null")
-            if response.status >= 400:
-                message = _message_from(data, response.status)
-                # Mirror the server's status-code semantics so callers can
-                # distinguish "no such tenant" from "bad request".
-                if response.status == 404:
-                    raise ApiNotFound(message)
-                if response.status == 405:
-                    raise ApiMethodNotAllowed(message)
-                if response.status == 409:
-                    raise ApiConflict(message)
-                raise ApiError(message)
-            return data
-        finally:
+        except (BrokenPipeError, ConnectionResetError):
+            if not reused:
+                raise
+            # The server closed the idle connection before answering:
+            # resend once on a fresh one.
             conn.close()
+            conn.request(method, path, body=payload, headers=headers)
+            response = conn.getresponse()
+        return response.status, response.read()
+
+    def _request_once(self, method: str, path: str,
+                      payload: Optional[bytes],
+                      headers: dict[str, str]) -> object:
+        conn = self._connection()
+        try:
+            status, raw = self._exchange(conn, method, path, payload,
+                                         headers)
+        except BaseException:
+            # Whatever was half sent or half read, the next request
+            # starts on a fresh connection.
+            conn.close()
+            raise
+        data = json.loads(raw or b"null")
+        if status >= 400:
+            message = _message_from(data, status)
+            # Mirror the server's status-code semantics so callers can
+            # distinguish "no such tenant" from "bad request".
+            if status == 404:
+                raise ApiNotFound(message)
+            if status == 405:
+                raise ApiMethodNotAllowed(message)
+            if status == 409:
+                raise ApiConflict(message)
+            raise ApiError(message)
+        return data
 
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> object:
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json"} if payload else {}
         attempts = 0
         while True:
             attempts += 1
             try:
-                return self._request_once(method, path, body)
+                return self._request_once(method, path, payload, headers)
             except ApiError:
                 raise
             except _TRANSIENT as exc:

@@ -34,11 +34,20 @@ v1 errors use a uniform envelope::
 with codes ``bad_request`` (400), ``not_found`` (404),
 ``method_not_allowed`` (405, plus an ``Allow`` header), ``conflict``
 (409), and ``internal`` (500).  A path outside ``/v1`` is a 404.
+
+Connections are persistent HTTP/1.1: one handler thread serves every
+request a client sends on its connection, and each response (status
+line, headers and body) leaves in one write with Nagle's algorithm off.
+A connection idle for :data:`IDLE_TIMEOUT` seconds is closed;
+:meth:`ApiServer.stop` shuts every open connection down and joins its
+handler thread.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
@@ -59,6 +68,62 @@ _LIFECYCLE_ACTIONS = ("start", "stop")
 #: GET+PUT resources under /v1/workloads/<tenant>/<resource>.
 _PUT_RESOURCES = ("faults", "resilience")
 
+#: Seconds a keep-alive connection may sit idle before the server closes it.
+IDLE_TIMEOUT = 15.0
+#: Bytes the handler buffers per response; one larger goes out in pieces.
+_WRITE_BUFFER = 1 << 16
+#: Seconds :meth:`ApiServer.stop` waits for each handler thread to end.
+_JOIN_TIMEOUT = 2.0
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """A threading HTTP server that knows its open connections.
+
+    Each accepted connection gets a daemon handler thread, registered
+    until the connection closes, so :meth:`close_connections` can shut
+    them all down and join their threads with a bound.
+    """
+
+    def __init__(self, address: tuple[str, int], handler) -> None:
+        super().__init__(address, handler)
+        self._open: dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
+        self._stopping = False
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address), name="api-connection",
+            daemon=True)
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A peer that goes away, or a connection cut by stop(), is not a
+        # server fault: no traceback for those.
+        if not (self._stopping
+                or isinstance(sys.exc_info()[1], ConnectionError)):
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down and join its handler thread."""
+        self._stopping = True
+        with self._open_lock:
+            open_now = list(self._open.items())
+        for request, _thread in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
+        for _request, thread in open_now:
+            thread.join(timeout=_JOIN_TIMEOUT)
+
 
 class ApiServer:
     """Runs the control API on a background HTTP server thread."""
@@ -69,7 +134,7 @@ class ApiServer:
         self.control = control
         self.workloads = workloads or WorkloadHost(control)
         handler = _make_handler(control, self.workloads)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = _HttpServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -89,9 +154,10 @@ class ApiServer:
 
     def stop(self) -> None:
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:
-            self._thread.join(timeout=2.0)
+            self._thread.join(timeout=_JOIN_TIMEOUT)
         self.workloads.shutdown()
 
     def __enter__(self) -> "ApiServer":
@@ -104,6 +170,9 @@ class ApiServer:
 def _make_handler(control: ControlApi, host: WorkloadHost):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        timeout = IDLE_TIMEOUT
+        wbufsize = _WRITE_BUFFER
+        disable_nagle_algorithm = True
 
         def log_message(self, *_args) -> None:  # silence stderr spam
             pass
@@ -118,15 +187,28 @@ def _make_handler(control: ControlApi, host: WorkloadHost):
             self.send_header("Content-Length", str(len(body)))
             if allow:
                 self.send_header("Allow", ", ".join(allow))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
+        def _take_body(self) -> None:
+            """Read the request body off the connection, whatever the
+            route makes of it, so the next request starts clean."""
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                raise ApiError("invalid Content-Length")
+            self.body = self.rfile.read(length)
+
         def _read_body(self) -> dict:
-            length = int(self.headers.get("Content-Length", "0"))
-            if length == 0:
+            if not self.body:
                 return {}
             try:
-                return json.loads(self.rfile.read(length))
+                return json.loads(self.body)
             except json.JSONDecodeError:
                 raise ApiError("request body is not valid JSON") from None
 
@@ -151,6 +233,7 @@ def _make_handler(control: ControlApi, host: WorkloadHost):
             parts = [p for p in split.path.split("/") if p]
             query = parse_qs(split.query)
             try:
+                self._take_body()
                 handlers = (self._match(parts[1:], query)
                             if parts[:1] == ["v1"] else {})
                 if not handlers:

@@ -91,7 +91,6 @@ DDL = [
         PRIMARY KEY (no_w_id, no_d_id, no_o_id)
     )
     """,
-    "CREATE INDEX idx_new_order_district ON new_order (no_w_id, no_d_id)",
     """
     CREATE TABLE oorder (
         o_id         INT NOT NULL,
@@ -122,7 +121,6 @@ DDL = [
     )
     """,
     "CREATE INDEX idx_order_line_order ON order_line (ol_w_id, ol_d_id, ol_o_id)",
-    "CREATE INDEX idx_order_line_district ON order_line (ol_w_id, ol_d_id)",
     """
     CREATE TABLE item (
         i_id    INT PRIMARY KEY,

@@ -26,10 +26,13 @@ that order and are kept in a side set instead.
 
 Chains and small buckets are exact tuples of atomic values, replaced
 rather than mutated.  CPython's cyclic collector stops tracking such a
-tuple once a collection finds its items untracked (one nesting level per
-collection, so before the tuple reaches the oldest generation), and the
-stored rows then cost full collections nothing however many a run loads
-or inserts.  A bucket
+tuple once a collection finds its items untracked, one nesting level per
+collection.  A chain nests three levels (values, pair, chain) and the
+two young generations settle only two of them, so a chain a run commits
+reaches the oldest generation still tracked, and the full collection
+that first walks it is the one that untracks it.  The rows a run
+inserts or updates thus keep full collections coming, each walking all
+the chains committed since the last (EXPERIMENTS §3-gc).  A bucket
 that outgrows :data:`BUCKET_TUPLE_MAX` rowids becomes a set, which keeps
 an insert under a low-cardinality key O(1).
 """

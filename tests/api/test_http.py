@@ -23,8 +23,8 @@ def live(db):
     control = ControlApi()
     control.register(manager)
     server = ApiServer(control, port=0).start()
-    client = ApiClient(server.url)
-    yield client, manager
+    with ApiClient(server.url) as client:
+        yield client, manager
     server.stop()
 
 
@@ -107,8 +107,8 @@ def test_live_control_during_threaded_run(db):
     executor.add_workload(manager)
     control = ControlApi()
     control.register(manager)
-    with ApiServer(control, port=0) as server:
-        client = ApiClient(server.url)
+    with ApiServer(control, port=0) as server, \
+            ApiClient(server.url) as client:
 
         def throttle():
             client.set_rate("t1", 30)

@@ -27,7 +27,8 @@ CONFIG = {
 @pytest.fixture
 def client():
     server = ApiServer(ControlApi(), port=0).start()
-    yield ApiClient(server.url)
+    with ApiClient(server.url) as api:
+        yield api
     server.stop()
 
 

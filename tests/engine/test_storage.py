@@ -269,8 +269,10 @@ def _load_footprint_table(n):
 
 def _tracked_objects():
     # A collection untracks a tuple only if its items are untracked
-    # already, and it may visit a pair before the values inside it: one
-    # collection per nesting level (values, pair, chain) settles them.
+    # already, and it reaches a chain before the pair inside it and the
+    # pair before its values: one collection per nesting level (values,
+    # pair, chain).  Three full collections settle them; the two young
+    # generations alone do not (the xfail test below).
     for _ in range(3):
         gc.collect()
     return len(gc.get_objects())
@@ -298,6 +300,31 @@ def test_stored_rows_cost_the_collector_a_constant():
     # Ten times the rows: the same handful of tracked objects (the four
     # low-cardinality buckets are sets, whatever the row count).
     assert large - small < 64
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a chain nests three tuple levels and the two young "
+           "generations untrack two, so committed chains reach the "
+           "oldest generation tracked; the flat row layout that fixes "
+           "it waits for the host-speed sampler fix (ROADMAP item 1)")
+def test_young_collections_untrack_fresh_chains():
+    db = Database()
+    conn = connect(db)
+    execute(conn, "CREATE TABLE p (id INT PRIMARY KEY, v INT, "
+                  "s VARCHAR(8))")
+    conn.commit()
+    gc.collect()
+    for i in range(500):
+        execute(conn, "INSERT INTO p VALUES (?, ?, 'new')", (i, i))
+        conn.commit()
+        execute(conn, "UPDATE p SET v = v + 1 WHERE id = ?", (i,))
+        conn.commit()
+    gc.collect(0)
+    gc.collect(1)
+    chains = db.table_data("p")._chains.values()
+    assert sum(gc.is_tracked(chain) for chain in chains) == 0
+    conn.close()
 
 
 _bucket_op = st.tuples(

@@ -19,9 +19,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import os
 import threading
 import time
 from typing import Callable, Optional
+
+#: Wall seconds a simulation runs on its thread between two GIL yields.
+#: CPython hands the GIL to a waiting thread only when its holder blocks
+#: or after the switch interval (5 ms by default).  A simulation never
+#: blocks, so a thread that needs the GIL meanwhile (a control API
+#: handler, its client, a game loop) waits 0 or 5 ms at each handoff,
+#: whichever of the runnable threads the OS happens to run first.
+#: Yielding every millisecond bounds that wait near one millisecond.
+YIELD_INTERVAL = 0.001
 
 
 class Clock:
@@ -110,15 +121,25 @@ class SimClock(Clock):
         """Run events until the queue is exhausted or virtual time passes
         ``deadline``.  Leaves events scheduled after the deadline queued and
         advances the clock exactly to ``deadline``."""
-        while self._events and self._events[0][0] <= deadline:
-            self.step()
+        self._run(deadline)
         if self._now < deadline:
             self._now = deadline
 
     def run(self) -> None:
         """Run until no events remain."""
-        while self.step():
-            pass
+        self._run(math.inf)
+
+    def _run(self, deadline: float) -> None:
+        """Run the events due by ``deadline``, yielding the GIL and the CPU
+        to other threads every :data:`YIELD_INTERVAL` of wall time
+        (``os.sched_yield`` releases the GIL around the call).  Virtual
+        time and event order do not depend on the yields."""
+        due = time.monotonic() + YIELD_INTERVAL
+        while self._events and self._events[0][0] <= deadline:
+            self.step()
+            if time.monotonic() >= due:
+                os.sched_yield()
+                due = time.monotonic() + YIELD_INTERVAL
 
 
 class StoppableSleeper:

@@ -1,11 +1,14 @@
 """Clock abstractions: real, simulated, and the interruptible sleeper."""
 
+import statistics
+import sys
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import clock as clock_module
 from repro.clock import RealClock, SimClock, StoppableSleeper
 
 
@@ -89,6 +92,79 @@ def test_run_until_leaves_future_events():
     assert clock.pending() == 1
     clock.run()
     assert fired == [1, 10]
+
+
+class _WallClock:
+    """Stands in for the ``time`` module inside ``repro.clock``."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+@pytest.mark.parametrize("drain", ["run_until", "run"])
+def test_long_runs_yield_the_gil_every_interval(monkeypatch, drain):
+    wall = _WallClock()
+    yields = []
+    monkeypatch.setattr(clock_module, "time", wall)
+    monkeypatch.setattr(clock_module, "YIELD_INTERVAL", 1.0)
+    monkeypatch.setattr(clock_module.os, "sched_yield",
+                        lambda: yields.append(wall.now))
+    clock = SimClock()
+    fired = []
+
+    def event(i):
+        wall.now += 0.4  # each event costs 0.4 s of wall time
+        fired.append(i)
+
+    for i in range(10):
+        clock.call_at(float(i), lambda i=i: event(i))
+    if drain == "run":
+        clock.run()
+    else:
+        clock.run_until(20.0)
+    # One yield after the first event that ends at or past each interval,
+    # and virtual time and event order as without yields.
+    assert yields == pytest.approx([1.2, 2.4, 3.6])
+    assert fired == list(range(10))
+    assert clock.now() == (9.0 if drain == "run" else 20.0)
+
+
+def test_a_thread_waking_during_a_long_run_gets_the_gil_soon():
+    # Without the yields the sleeper waits out the whole switch interval
+    # (~5 ms late) each time it wakes.
+    late = []
+    stop = threading.Event()
+
+    def sleeper():
+        while not stop.is_set():
+            started = time.monotonic()
+            time.sleep(0.005)
+            late.append(time.monotonic() - started - 0.005)
+
+    def busy():
+        total = 0
+        for i in range(2000):
+            total += i
+
+    clock = SimClock()
+    for i in range(4000):
+        clock.call_at(i * 0.001, busy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.005)
+    thread = threading.Thread(target=sleeper, daemon=True)
+    thread.start()
+    try:
+        clock.run()
+    finally:
+        stop.set()
+        thread.join(2.0)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert len(late) >= 10
+    assert statistics.median(late) < 0.0025
 
 
 def test_step_returns_false_when_empty():

@@ -84,6 +84,10 @@ class _HttpServer(ThreadingHTTPServer):
     them all down and join their threads with a bound.
     """
 
+    #: Longest single wait for a connection (``handle_request``'s bound),
+    #: so a stop whose wake-up failed still ends the accept loop.
+    timeout = 0.5
+
     def __init__(self, address: tuple[str, int], handler) -> None:
         super().__init__(address, handler)
         self._open: dict[socket.socket, threading.Thread] = {}
@@ -99,6 +103,25 @@ class _HttpServer(ThreadingHTTPServer):
             self._open[request] = thread
         thread.start()
 
+    def serve_until_stopped(self) -> None:
+        """Serve connections until :meth:`stop_serving`."""
+        while not self._stopping:
+            self.handle_request()
+
+    def stop_serving(self) -> None:
+        """End :meth:`serve_until_stopped` without serving another
+        connection.  Shutting the listening socket down wakes the wait for
+        a connection at once on Linux; elsewhere it ends within
+        :attr:`timeout`."""
+        self._stopping = True
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not supported on this platform: the timeout ends it
+
+    def verify_request(self, request, client_address) -> bool:
+        return not self._stopping
+
     def shutdown_request(self, request) -> None:
         with self._open_lock:
             self._open.pop(request, None)
@@ -113,7 +136,6 @@ class _HttpServer(ThreadingHTTPServer):
 
     def close_connections(self) -> None:
         """Shut every open connection down and join its handler thread."""
-        self._stopping = True
         with self._open_lock:
             open_now = list(self._open.items())
         for request, _thread in open_now:
@@ -148,16 +170,17 @@ class ApiServer:
 
     def start(self) -> "ApiServer":
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="api-server", daemon=True)
+            target=self._httpd.serve_until_stopped, name="api-server",
+            daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.close_connections()
-        self._httpd.server_close()
+        self._httpd.stop_serving()
         if self._thread is not None:
             self._thread.join(timeout=_JOIN_TIMEOUT)
+        self._httpd.close_connections()
+        self._httpd.server_close()
         self.workloads.shutdown()
 
     def __enter__(self) -> "ApiServer":

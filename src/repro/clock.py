@@ -25,14 +25,16 @@ import threading
 import time
 from typing import Callable, Optional
 
-#: Wall seconds a simulation runs on its thread between two GIL yields.
-#: CPython hands the GIL to a waiting thread only when its holder blocks
-#: or after the switch interval (5 ms by default).  A simulation never
-#: blocks, so a thread that needs the GIL meanwhile (a control API
-#: handler, its client, a game loop) waits 0 or 5 ms at each handoff,
-#: whichever of the runnable threads the OS happens to run first.
-#: Yielding every millisecond bounds that wait near one millisecond.
+#: Wall seconds a CPU-bound loop (a simulation, a threaded worker) runs
+#: between two GIL yields.  CPython hands the GIL to a waiting thread only
+#: when its holder blocks or after the switch interval (5 ms by default),
+#: for a worker often inside a transaction that holds row locks.  Yielding
+#: every millisecond bounds that wait and picks the point of the handoff.
 YIELD_INTERVAL = 0.001
+#: A lone worker sleeps :data:`HANDOFF_SLEEP` seconds at every
+#: :data:`SLEEP_EVERY`-th yield, long enough for a waiter on another CPU.
+SLEEP_EVERY = 4
+HANDOFF_SLEEP = 5e-5
 
 
 class Clock:
@@ -130,16 +132,48 @@ class SimClock(Clock):
         self._run(math.inf)
 
     def _run(self, deadline: float) -> None:
-        """Run the events due by ``deadline``, yielding the GIL and the CPU
-        to other threads every :data:`YIELD_INTERVAL` of wall time
-        (``os.sched_yield`` releases the GIL around the call).  Virtual
-        time and event order do not depend on the yields."""
-        due = time.monotonic() + YIELD_INTERVAL
+        """Run the events due by ``deadline``, yielding the GIL between
+        events (:class:`GilYielder`); virtual time and order do not change."""
+        yielder = GilYielder()
         while self._events and self._events[0][0] <= deadline:
             self.step()
-            if time.monotonic() >= due:
-                os.sched_yield()
-                due = time.monotonic() + YIELD_INTERVAL
+            yielder.maybe_yield()
+
+
+class GilYielder:
+    """Yields the GIL at most once per :data:`YIELD_INTERVAL` of wall
+    time, where the calling loop holds nothing another thread waits on.
+    ``os.sched_yield`` hands it to a waiter on the same CPU; one on
+    another CPU loses every such race and takes it at a sleep.  Several
+    ``workers`` on several CPUs sleep at every yield, lest sleeps further
+    apart fall into step with CPython's order of GIL waiters and starve
+    a third thread.  A simulation (no workers) never sleeps: there the
+    sleeps slowed polls at the tail."""
+
+    __slots__ = ("_due", "_yields", "_sleep_every")
+
+    def __init__(self, workers: int = 0) -> None:
+        self._due = time.monotonic() + YIELD_INTERVAL
+        self._yields = 0
+        several = workers > 1 and _cpus() > 1
+        self._sleep_every = 1 if several else SLEEP_EVERY if workers else 0
+
+    def maybe_yield(self) -> None:
+        if time.monotonic() < self._due:
+            return
+        self._yields += 1
+        if self._sleep_every and self._yields % self._sleep_every == 0:
+            time.sleep(HANDOFF_SLEEP)
+        else:
+            os.sched_yield()
+        self._due = time.monotonic() + YIELD_INTERVAL
+
+
+def _cpus() -> int:
+    """CPUs the calling thread may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class StoppableSleeper:

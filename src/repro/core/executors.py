@@ -32,7 +32,8 @@ import os
 import threading
 from typing import Callable, Optional
 
-from ..clock import Clock, RealClock, SimClock, StoppableSleeper
+from ..clock import (Clock, GilYielder, RealClock, SimClock,
+                     StoppableSleeper)
 from ..engine.database import Database
 from ..engine.dbapi import connect
 from ..engine.service import DbmsPersonality, LoadTracker, get_personality
@@ -199,6 +200,7 @@ class ThreadedExecutor:
                 "(add_workload a fresh manager before calling run again)")
         self._stop = threading.Event()
         self._threads = []
+        self._worker_count = sum(count for _manager, count in runnable)
         pacers = []
         for manager, worker_count in runnable:
             manager.begin_run(self.clock.now())
@@ -260,6 +262,8 @@ class ThreadedExecutor:
         worker = _open_worker(self.database, manager, worker_id)
         breaker = manager.resilience.breaker
         sleeper = StoppableSleeper()
+        # Yields between transactions, when the worker holds no engine lock.
+        yielder = GilYielder(self._worker_count)
         # Worker-local sample recorder: per-sample appends, epoch flushes.
         # Flushed whenever the worker idles (empty queue, pause, breaker
         # backoff) and on exit, so samples never outlive the worker.
@@ -300,6 +304,7 @@ class ThreadedExecutor:
                         recorder.add(_execute(
                             manager, worker, request, self.clock,
                             self._stop.wait, self._elapsed))
+                        yielder.maybe_yield()
                 except Exception:
                     # Engine errors are converted to STATUS_ERROR samples
                     # inside the attempt loop; anything reaching here is a

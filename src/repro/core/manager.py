@@ -226,7 +226,11 @@ class WorkloadManager:
     # ------------------------------------------------------------------
 
     def set_rate(self, rate: object) -> None:
-        """Throttle or open up the request rate immediately."""
+        """Throttle or open up the request rate from the next pacer tick.
+
+        Each tick queues a whole second's arrivals, so the current
+        second's already queued arrivals keep the old rate.
+        """
         Phase._validate_rate(rate)
         with self._lock:
             self._rate_override = rate

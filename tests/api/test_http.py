@@ -9,7 +9,7 @@ from repro.core import (Phase, ThreadedExecutor, WorkloadConfiguration,
                         WorkloadManager)
 from repro.errors import ApiError
 
-from ..conftest import MiniBenchmark
+from ..conftest import MiniBenchmark, call_into_run
 
 
 @pytest.fixture
@@ -95,8 +95,6 @@ def test_error_surfaces_as_api_error(live):
 @pytest.mark.slow
 def test_live_control_during_threaded_run(db):
     """The paper's demo loop: drive a live benchmark over HTTP."""
-    import threading
-
     bench = MiniBenchmark(db, seed=42)
     bench.load()
     cfg = WorkloadConfiguration(
@@ -109,21 +107,19 @@ def test_live_control_during_threaded_run(db):
     control.register(manager)
     with ApiServer(control, port=0) as server, \
             ApiClient(server.url) as client:
-
-        def throttle():
-            client.set_rate("t1", 30)
-
-        timer = threading.Timer(2.0, throttle)
-        timer.start()
+        # Lands between the pacer's ticks at run start + 1 s and + 2 s, so
+        # arrivals run at 200/s in [start, start + 2) and at 30/s in
+        # [start + 2, start + 4).
+        throttle = call_into_run(
+            manager, 1.5, lambda: client.set_rate("t1", 30))
         executor.run(timeout=15)
-        timer.cancel()
-    samples = manager.results.samples()
-    start = min(s.start for s in samples)
-    # Whole-second windows (the metrics ring's resolution): one second
-    # inside [start + 0.25, start + 2.25), before the throttle lands,
-    # and one inside [start + 2.6, start + 4.6), after it.
-    before_lo = math.ceil(start + 0.25)
-    after_lo = math.ceil(start + 2.6)
+        throttle.join(5.0)
+        assert not throttle.is_alive()
+    start = min(s.start for s in manager.results.samples())
+    # Whole-second windows (the metrics ring's resolution), one inside
+    # each half.
+    before_lo = math.ceil(start)
+    after_lo = math.ceil(start + 2)
     before = manager.results.throughput((before_lo, before_lo + 1))
     after = manager.results.throughput((after_lo, after_lo + 1))
     assert before > 120

@@ -3,8 +3,10 @@ thread, idle connections closed by the server, and ``stop()`` leaving no
 handler thread behind."""
 
 import json
+import socket
 import sys
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -185,3 +187,33 @@ def test_invalid_content_length_is_400_and_closes(server):
     assert b"Connection: close" in head
     assert json.loads(body)["error"]["code"] == "bad_request"
     conn.close()
+
+
+def test_stop_on_an_idle_server_returns_at_once(db):
+    server = ApiServer(_control(db)).start()
+    with ApiClient(server.url) as client:
+        assert client.tenants() == ["t1"]
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.1
+    assert _handler_threads() == []
+    assert not [t for t in threading.enumerate() if t.name == "api-server"]
+
+
+def test_stop_ends_the_accept_loop_when_its_wake_up_fails(db, monkeypatch):
+    server = ApiServer(_control(db)).start()
+    listening = server._httpd.socket
+    shutdown = socket.socket.shutdown
+
+    def failing_shutdown(sock, how):
+        if sock is listening:
+            raise OSError("shutdown not supported")
+        return shutdown(sock, how)
+
+    monkeypatch.setattr(socket.socket, "shutdown", failing_shutdown)
+    started = time.monotonic()
+    server.stop()
+    # The wait for a connection runs out instead (after at most 0.5 s),
+    # well before stop() gives up joining the accept loop (2 s).
+    assert time.monotonic() - started < 1.0
+    assert not [t for t in threading.enumerate() if t.name == "api-server"]

@@ -11,12 +11,15 @@ that deliberately provoke violations opt out with the
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import settings
 
 from repro.analysis.lockwatch import LockWatch
 from repro.core.benchmark import BenchmarkModule
+from repro.core.manager import STATE_CREATED
 from repro.core.procedure import Procedure
 from repro.engine import Database, connect
 
@@ -102,6 +105,26 @@ class MiniBenchmark(BenchmarkModule):
         rows = max(1, int(self.ROWS * self.scale_factor))
         self.database.bulk_insert("kv", [(i, 0) for i in range(rows)])
         self.params["rows"] = rows
+
+
+def call_into_run(manager, offset: float, action) -> threading.Thread:
+    """Call ``action`` on a new thread ``offset`` seconds into
+    ``manager``'s run, timed from the run's own start.
+
+    The threaded pacer queues a whole second's arrivals at each tick
+    (run start + k seconds), so a rate change takes effect at the next
+    tick.  A change timed mid-second from the run's start cannot race a
+    tick, as one timed from before ``executor.run()`` can.
+    """
+    def wait_and_call():
+        while manager.state == STATE_CREATED:
+            time.sleep(0.001)
+        time.sleep(max(0.0, offset - manager.status()["elapsed"]))
+        action()
+
+    thread = threading.Thread(target=wait_and_call, daemon=True)
+    thread.start()
+    return thread
 
 
 @pytest.fixture

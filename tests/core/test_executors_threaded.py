@@ -10,7 +10,7 @@ from repro.core import (Phase, RATE_DISABLED, ThreadedExecutor,
                         WorkloadConfiguration, WorkloadManager)
 from repro.errors import ConfigurationError
 
-from ..conftest import MiniBenchmark
+from ..conftest import MiniBenchmark, call_into_run
 
 
 def run_threaded(db, phases, workers=4, timeout=15):
@@ -49,8 +49,6 @@ def test_threaded_closed_loop_runs_flat_out(db):
 
 @pytest.mark.slow
 def test_threaded_dynamic_rate_change(db):
-    import threading
-
     bench = MiniBenchmark(db, seed=42)
     bench.load()
     cfg = WorkloadConfiguration(
@@ -59,10 +57,13 @@ def test_threaded_dynamic_rate_change(db):
     manager = WorkloadManager(bench, cfg)
     executor = ThreadedExecutor(db)
     executor.add_workload(manager)
-    timer = threading.Timer(2.0, lambda: manager.set_rate(40))
-    timer.start()
+    # Lands between the ticks at run start + 1 s and + 2 s: the last two
+    # of the run's four seconds run at 40/s, so one whole clock second
+    # (a series entry that is neither first nor last) lies inside them.
+    change = call_into_run(manager, 1.5, lambda: manager.set_rate(40))
     executor.run(timeout=15)
-    timer.cancel()
+    change.join(5.0)
+    assert not change.is_alive()
     series = [count for _s, count in manager.results.per_second_throughput()]
     assert max(series) > 150
     assert min(series[1:-1] or series) < 80

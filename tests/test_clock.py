@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import clock as clock_module
-from repro.clock import RealClock, SimClock, StoppableSleeper
+from repro.clock import GilYielder, RealClock, SimClock, StoppableSleeper
 
 
 def test_real_clock_monotonic():
@@ -130,6 +130,23 @@ def test_long_runs_yield_the_gil_every_interval(monkeypatch, drain):
     assert yields == pytest.approx([1.2, 2.4, 3.6])
     assert fired == list(range(10))
     assert clock.now() == (9.0 if drain == "run" else 20.0)
+
+
+def test_a_lone_workers_every_fourth_yield_sleeps(monkeypatch):
+    wall = _WallClock()
+    kinds = []
+    wall.sleep = lambda seconds: kinds.append(("sleep", seconds))
+    monkeypatch.setattr(clock_module, "time", wall)
+    monkeypatch.setattr(clock_module.os, "sched_yield",
+                        lambda: kinds.append(("yield", None)))
+    yielder = GilYielder(workers=1)
+    for _ in range(10):
+        wall.now += 0.002
+        yielder.maybe_yield()
+    # The rule counts yields; it does not time them.
+    three = [("yield", None)] * 3
+    sleep = ("sleep", clock_module.HANDOFF_SLEEP)
+    assert kinds == three + [sleep] + three + [sleep] + three[:2]
 
 
 def test_a_thread_waking_during_a_long_run_gets_the_gil_soon():

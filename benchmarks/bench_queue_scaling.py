@@ -3,9 +3,9 @@
 Two acceptance claims for the scaled driver (DESIGN.md §11):
 
 * **Capacity** — at 4 tenants under a saturating offered rate, the
-  process-per-tenant driver (batched take, buffered samples) delivers
-  at least 2x the throughput of the seed-configuration driver
-  (single-process, ``take_batch=1``, per-sample recording).
+  process-per-tenant driver delivers at least 2x the throughput of the
+  default in-process ``ThreadedExecutor`` (one process, every tenant's
+  workers under one GIL).
 * **Fidelity** — at the paper-style reference rate the scaled driver is
   not *trading* accuracy for speed: it still delivers >= 98% of the
   requested transactions, and the queue invariant holds in every tenant
@@ -27,15 +27,14 @@ from repro.engine import Database
 from conftest import once, report
 
 TENANTS = 4
-SEED_WORKERS = 8        # per tenant, the seed driver's default pool
-PROC_WORKERS = 2        # per tenant process; this host has one CPU
-PROC_TAKE_BATCH = 128
+THREAD_WORKERS = 8      # per tenant, the default worker pool
+PROC_WORKERS = 2        # per tenant process
 CAPACITY_RATE = 60_000  # per tenant per second: saturates the driver
 CAPACITY_DURATION = 5.0
 REFERENCE_RATE = 10_000  # per tenant per second: the fidelity check
 REFERENCE_DURATION = 3.0
 
-CAPACITY_FLOOR = 2.0   # process driver must deliver >= 2x the seed driver
+CAPACITY_FLOOR = 2.0   # process driver must deliver >= 2x the threaded one
 FIDELITY_FLOOR = 0.98  # delivered/requested at the reference rate
 
 
@@ -78,15 +77,14 @@ def _config(tenant: str, workers: int, seed: int, rate: float,
         phases=[Phase(duration=duration, rate=rate)])
 
 
-def run_seed_driver(rate: float, duration: float):
-    """The seed-configuration driver: one process, unbatched, unbuffered."""
-    executor = ThreadedExecutor(Database(), take_batch=1,
-                                buffer_samples=False)
+def run_threaded_driver(rate: float, duration: float):
+    """The default in-process driver: every tenant in one process."""
+    executor = ThreadedExecutor(Database())
     managers = []
     for index in range(TENANTS):
         bench = NoOpBench(Database(), seed=1)
         bench.load()
-        config = _config(f"tenant-{index}", SEED_WORKERS, 42 + index,
+        config = _config(f"tenant-{index}", THREAD_WORKERS, 42 + index,
                          rate, duration)
         manager = WorkloadManager(bench, config, clock=executor.clock)
         executor.add_workload(manager)
@@ -98,14 +96,13 @@ def run_seed_driver(rate: float, duration: float):
 
 
 def run_process_driver(rate: float, duration: float):
-    """The scaled driver: process per tenant, batched take."""
-    executor = ProcessExecutor(stats_interval=5.0)
+    """The scaled driver: one process per tenant."""
+    executor = ProcessExecutor()
     for index in range(TENANTS):
         config = _config(f"tenant-{index}", PROC_WORKERS, 42 + index,
                          rate, duration)
         executor.add_tenant(TenantSpec(
-            config=config, benchmark_factory=_noop_factory,
-            take_batch=PROC_TAKE_BATCH))
+            config=config, benchmark_factory=_noop_factory))
     run_report = executor.run(timeout=duration + 30)
     assert run_report["ok"], run_report.get("error")
     delivered = sum(len(results) for results
@@ -116,14 +113,14 @@ def run_process_driver(rate: float, duration: float):
 
 
 def run_scaling():
-    seed_delivered, seed_counters = run_seed_driver(
+    thread_delivered, thread_counters = run_threaded_driver(
         CAPACITY_RATE, CAPACITY_DURATION)
     proc_delivered, proc_counters = run_process_driver(
         CAPACITY_RATE, CAPACITY_DURATION)
     ref_delivered, ref_counters = run_process_driver(
         REFERENCE_RATE, REFERENCE_DURATION)
-    return (seed_delivered, seed_counters, proc_delivered, proc_counters,
-            ref_delivered, ref_counters)
+    return (thread_delivered, thread_counters, proc_delivered,
+            proc_counters, ref_delivered, ref_counters)
 
 
 def _check_invariant(counters):
@@ -134,39 +131,38 @@ def _check_invariant(counters):
 
 
 def test_process_driver_capacity_and_fidelity(benchmark):
-    (seed_delivered, seed_counters, proc_delivered, proc_counters,
+    (thread_delivered, thread_counters, proc_delivered, proc_counters,
      ref_delivered, ref_counters) = once(benchmark, run_scaling)
 
     requested = int(TENANTS * REFERENCE_RATE * REFERENCE_DURATION)
-    ratio = proc_delivered / seed_delivered
+    ratio = proc_delivered / thread_delivered
     fidelity = ref_delivered / requested
     report(
         "Driver scale-out at 4 tenants",
         ["Driver", "Rate/tenant", "Duration", "Delivered", "Delivered/s",
-         "vs seed"],
-        [("seed: 1 process, take=1, unbuffered", CAPACITY_RATE,
-          CAPACITY_DURATION, seed_delivered,
-          round(seed_delivered / CAPACITY_DURATION), 1.0),
-         (f"scaled: {TENANTS} processes, take={PROC_TAKE_BATCH}, "
-          "buffered", CAPACITY_RATE,
+         "vs threaded"],
+        [("threaded: 1 process", CAPACITY_RATE,
+          CAPACITY_DURATION, thread_delivered,
+          round(thread_delivered / CAPACITY_DURATION), 1.0),
+         (f"scaled: {TENANTS} processes", CAPACITY_RATE,
           CAPACITY_DURATION, proc_delivered,
           round(proc_delivered / CAPACITY_DURATION), round(ratio, 2)),
          ("scaled @ reference rate", REFERENCE_RATE, REFERENCE_DURATION,
           ref_delivered, round(ref_delivered / REFERENCE_DURATION),
           "-")],
-        notes=f"claims: scaled/seed >= {CAPACITY_FLOOR}x at the "
+        notes=f"claims: scaled/threaded >= {CAPACITY_FLOOR}x at the "
               f"saturating rate; delivered/requested >= {FIDELITY_FLOOR} "
               f"at the reference rate (got {fidelity:.4f})")
 
     # Both drivers actually ran all four tenants.
-    assert len(seed_counters) == TENANTS
+    assert len(thread_counters) == TENANTS
     assert len(proc_counters) == TENANTS
-    assert seed_delivered > 0
+    assert thread_delivered > 0
 
     # Capacity: the scaled driver clears the 2x floor.
     assert ratio >= CAPACITY_FLOOR, (
-        f"process driver delivered only {ratio:.2f}x the seed driver "
-        f"({proc_delivered} vs {seed_delivered})")
+        f"process driver delivered only {ratio:.2f}x the threaded "
+        f"driver ({proc_delivered} vs {thread_delivered})")
 
     # Fidelity: at the reference rate nothing is silently dropped.
     assert fidelity >= FIDELITY_FLOOR, (
@@ -174,6 +170,6 @@ def test_process_driver_capacity_and_fidelity(benchmark):
         f"({ref_delivered}/{requested})")
 
     # Queue accounting survives every configuration.
-    _check_invariant(seed_counters)
+    _check_invariant(thread_counters)
     _check_invariant(proc_counters)
     _check_invariant(ref_counters)

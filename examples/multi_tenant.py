@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Multi-tenancy (paper §2.2.3): two benchmarks sharing one instance.
 
-TPC-C and Twitter run side by side against the same simulated server.
+TPC-C and Twitter run side by side against the same simulated server:
+each tenant is one WorkloadManager added to one SimulatedExecutor.
 Twitter ramps to a saturating burst in the middle of the run; the report
 shows TPC-C's latency inflating while its reserved throughput holds —
 the interference signature the two-player game teaches.
@@ -10,8 +11,9 @@ Run:  python examples/multi_tenant.py
 """
 
 from repro.benchmarks import create_benchmark
-from repro.core import (MultiTenantCoordinator, Phase,
-                        WorkloadConfiguration)
+from repro.clock import SimClock
+from repro.core import (Phase, SimulatedExecutor, WorkloadConfiguration,
+                        WorkloadManager)
 from repro.engine import Database
 
 
@@ -26,23 +28,28 @@ def main() -> None:
     twitter.load()
     print("loaded tenants:", sorted(db.table_names()))
 
-    coordinator = MultiTenantCoordinator(db, personality="derby",
-                                         simulated=True)
-    coordinator.add_tenant(tpcc, WorkloadConfiguration(
-        benchmark="tpcc", workers=8, seed=1, tenant="tpcc",
-        phases=[Phase(duration=45, rate=60)]))
-    coordinator.add_tenant(twitter, WorkloadConfiguration(
-        benchmark="twitter", workers=24, seed=2, tenant="twitter",
-        phases=[
-            Phase(duration=15, rate=20),
-            Phase(duration=15, rate=2500),  # the noisy-neighbour burst
-            Phase(duration=15, rate=20),
-        ]))
-    coordinator.run()
+    clock = SimClock()
+    executor = SimulatedExecutor(db, "derby", clock)
+    tenants = [
+        (tpcc, WorkloadConfiguration(
+            benchmark="tpcc", workers=8, seed=1, tenant="tpcc",
+            phases=[Phase(duration=45, rate=60)])),
+        (twitter, WorkloadConfiguration(
+            benchmark="twitter", workers=24, seed=2, tenant="twitter",
+            phases=[
+                Phase(duration=15, rate=20),
+                Phase(duration=15, rate=2500),  # the noisy-neighbour burst
+                Phase(duration=15, rate=20),
+            ])),
+    ]
+    managers = [executor.add_workload(WorkloadManager(bench, config,
+                                                      clock=clock))
+                for bench, config in tenants]
+    executor.run()
 
     print(f"\n{'window':22s}{'tpcc tps':>10s}{'tpcc p50 ms':>13s}"
           f"{'twitter tps':>13s}")
-    results = coordinator.per_tenant_results()
+    results = {manager.tenant: manager.results for manager in managers}
     for label, window in [("Twitter idle", (2, 15)),
                           ("Twitter bursting", (17, 30)),
                           ("Twitter idle again", (32, 45))]:

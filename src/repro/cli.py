@@ -52,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--config", help="JSON workload configuration file "
                                       "(overrides rate/duration)")
-    run.add_argument("--take-batch", type=int, default=None, metavar="N",
-                     help="workers dequeue up to N due requests per queue "
-                          "visit (threaded executor only; default: "
-                          "$REPRO_TAKE_BATCH or 16)")
     run.add_argument("--threaded", action="store_true",
                      help="run live worker threads instead of simulating")
     run.add_argument("--trace", help="write the raw per-txn trace CSV here")
@@ -178,7 +174,7 @@ def cmd_run(args) -> int:
                           rate=_parse_rate(args.rate))])
 
     if args.threaded:
-        executor = ThreadedExecutor(db, take_batch=args.take_batch)
+        executor = ThreadedExecutor(db)
         manager = WorkloadManager(bench, config)
         executor.add_workload(manager)
         _apply_chaos(manager, args)

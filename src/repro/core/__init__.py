@@ -3,10 +3,8 @@
 from .benchmark import (BenchmarkModule, CLASS_FEATURE, CLASS_TRANSACTIONAL,
                         CLASS_WEB)
 from .config import WorkloadConfiguration
-from .executors import (SimulatedExecutor, ThreadedExecutor,
-                        default_take_batch)
+from .executors import SimulatedExecutor, ThreadedExecutor
 from .manager import WorkloadManager
-from .multitenant import MultiTenantCoordinator, Tenant
 from .procexec import ProcessExecutor, TenantSpec
 from .phase import (ARRIVAL_EXPONENTIAL, ARRIVAL_UNIFORM, Phase,
                     RATE_DISABLED, RATE_UNLIMITED, UNLIMITED_RATE_CONSTANT,
@@ -17,17 +15,16 @@ from .replay import (phases_from_csv, phases_from_results,
                      phases_from_series)
 from .requestqueue import (POLICY_BACKLOG, POLICY_CAP, Request,
                            RequestQueue)
-from .results import (DirectRecorder, LatencySample, Results, SampleBuffer,
-                      STATUS_ABORTED, STATUS_ERROR, STATUS_OK, merge,
-                      percentile)
+from .results import (LatencySample, Results, SampleBuffer, STATUS_ABORTED,
+                      STATUS_ERROR, STATUS_OK, merge, percentile)
 
 __all__ = [
     "BenchmarkModule", "CLASS_FEATURE", "CLASS_TRANSACTIONAL", "CLASS_WEB",
     "WorkloadConfiguration",
-    "SimulatedExecutor", "ThreadedExecutor", "default_take_batch",
-    "WorkloadManager", "MultiTenantCoordinator", "Tenant",
+    "SimulatedExecutor", "ThreadedExecutor",
+    "WorkloadManager",
     "ProcessExecutor", "TenantSpec",
-    "SampleBuffer", "DirectRecorder",
+    "SampleBuffer",
     "ARRIVAL_EXPONENTIAL", "ARRIVAL_UNIFORM", "Phase",
     "RATE_DISABLED", "RATE_UNLIMITED", "UNLIMITED_RATE_CONSTANT",
     "normalize_weights", "Procedure", "UserAbort", "ArrivalSchedule",

@@ -28,7 +28,6 @@ only in how time passes:
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Optional
 
@@ -43,29 +42,10 @@ from ..rand import make_rng
 from .manager import STATE_CREATED, WorkloadManager
 from .requestqueue import Request
 from .resilience import ResilientOutcome, run_with_resilience
-from .results import DirectRecorder, LatencySample
+from .results import LatencySample
 
-#: Environment override for the default per-take batch limit.
-TAKE_BATCH_ENV = "REPRO_TAKE_BATCH"
-_MAX_TAKE_BATCH = 1024
-_DEFAULT_TAKE_BATCH = 16
-
-
-def default_take_batch() -> int:
-    """Per-take batch limit from ``REPRO_TAKE_BATCH`` (default 16)."""
-    raw = os.environ.get(TAKE_BATCH_ENV, "").strip()
-    if not raw:
-        return _DEFAULT_TAKE_BATCH
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{TAKE_BATCH_ENV} must be an integer, got {raw!r}") from None
-    if not 1 <= value <= _MAX_TAKE_BATCH:
-        raise ConfigurationError(
-            f"{TAKE_BATCH_ENV} must be in [1, {_MAX_TAKE_BATCH}], "
-            f"got {value}")
-    return value
+#: Most due requests a throughput worker takes per queue visit.
+TAKE_BATCH = 16
 
 
 # ---------------------------------------------------------------------------
@@ -143,30 +123,17 @@ class ThreadedExecutor:
     """Runs workloads with real worker threads over wall-clock time.
 
     The worker hot path is batched: each queue visit pulls up to
-    ``take_batch`` due requests in one lock/condvar round-trip, and each
-    completed transaction lands in a worker-local
+    :data:`TAKE_BATCH` due requests in one lock/condvar round-trip, and
+    each completed transaction lands in a worker-local
     :class:`~repro.core.results.SampleBuffer` that flushes into the
-    streaming metrics pipeline in epochs.  ``take_batch=1`` plus
-    ``buffer_samples=False`` reproduces the seed driver's per-request,
-    per-sample locking exactly (the baseline mode of
-    ``benchmarks/bench_queue_scaling.py``).  While the circuit breaker is
+    streaming metrics pipeline in epochs.  While the circuit breaker is
     enabled a worker takes one request per admission.
     """
 
     def __init__(self, database: Database,
-                 clock: Optional[Clock] = None,
-                 take_batch: Optional[int] = None,
-                 buffer_samples: bool = True) -> None:
-        if take_batch is None:
-            take_batch = default_take_batch()
-        if not 1 <= take_batch <= _MAX_TAKE_BATCH:
-            raise ConfigurationError(
-                f"take_batch must be in [1, {_MAX_TAKE_BATCH}], "
-                f"got {take_batch}")
+                 clock: Optional[Clock] = None) -> None:
         self.database = database
         self.clock = clock or RealClock()
-        self.take_batch = take_batch
-        self.buffer_samples = buffer_samples
         self._workloads: list[tuple[WorkloadManager, int]] = []
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -267,8 +234,7 @@ class ThreadedExecutor:
         # Worker-local sample recorder: per-sample appends, epoch flushes.
         # Flushed whenever the worker idles (empty queue, pause, breaker
         # backoff) and on exit, so samples never outlive the worker.
-        recorder = (manager.results.buffered() if self.buffer_samples
-                    else DirectRecorder(manager.results))
+        recorder = manager.results.buffered()
         try:
             while not self._stop.is_set() and not manager.finished:
                 if manager.paused or not manager.worker_enabled(worker_id):
@@ -291,9 +257,8 @@ class ThreadedExecutor:
                     # Thinking workers take one at a time too (they must
                     # sleep between transactions anyway); throughput
                     # workers amortize the lock/condvar round-trip over
-                    # up to ``take_batch`` due requests.
-                    limit = (1 if think > 0 or breaker.enabled
-                             else self.take_batch)
+                    # up to ``TAKE_BATCH`` due requests.
+                    limit = 1 if think > 0 or breaker.enabled else TAKE_BATCH
                     batch = manager.queue.take_batch(limit, timeout=0.2)
                     if not batch:
                         breaker.release()

@@ -48,6 +48,9 @@ class WorkloadManager:
                  clock: Optional[Clock] = None,
                  results: Optional[Results] = None,
                  queue_policy: str = POLICY_CAP) -> None:
+        if not benchmark.loaded:
+            raise ConfigurationError(
+                f"benchmark {benchmark.name!r} must be loaded first")
         if not config.phases:
             raise ConfigurationError("configuration has no phases")
         config.validated_against(benchmark.procedure_names())

@@ -10,15 +10,14 @@ ThreadedExecutor, so each request takes the same per-request path
 (breaker admission, then ``executors._execute``) as on the in-process
 substrates; the parent coordinates a ready/go barrier so data
 loading never pollutes the measured window, and a per-tenant relay thread
-drains a pipe carrying periodic light stats plus the final sample set.
+drains a pipe carrying the final sample set.
 
 Protocol on each tenant pipe (child -> parent unless noted):
 
 1. ``("ready", tenant)`` once schema + data are loaded;
 2. parent -> child ``("go", timeout)`` after *all* tenants are ready;
-3. ``("stats", payload)`` every ``stats_interval`` seconds while running;
-4. ``("samples", chunk)`` — the final sample list in bounded chunks;
-5. ``("done", report)`` and EOF; or ``("error", message)`` followed by the
+3. ``("samples", chunk)`` — the final sample list in bounded chunks;
+4. ``("done", report)`` and EOF; or ``("error", message)`` followed by the
    child re-raising (never swallowed — the exit code must show it).
 
 Only :class:`~repro.core.results.LatencySample` tuples and plain dicts
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import ConfigurationError
@@ -58,17 +57,12 @@ class TenantSpec:
     any multiprocessing start method) receives the spec and must return a
     *loaded* :class:`BenchmarkModule`; when omitted the child builds a
     fresh engine ``Database`` and loads the registry benchmark named by
-    ``config.benchmark`` with ``benchmark_kwargs``.
+    ``config.benchmark``.
     """
 
     config: WorkloadConfiguration
     benchmark_factory: Optional[Callable[["TenantSpec"], BenchmarkModule]] \
         = None
-    benchmark_kwargs: dict = field(default_factory=dict)
-    take_batch: Optional[int] = None
-    buffer_samples: bool = True
-    workers: Optional[int] = None
-    stats_interval: float = 1.0
 
 
 def _build_benchmark(spec: TenantSpec) -> BenchmarkModule:
@@ -78,8 +72,7 @@ def _build_benchmark(spec: TenantSpec) -> BenchmarkModule:
     from ..engine.database import Database
     bench = create_benchmark(spec.config.benchmark, Database(),
                              scale_factor=spec.config.scale_factor,
-                             seed=spec.config.seed,
-                             **spec.benchmark_kwargs)
+                             seed=spec.config.seed)
     bench.load()
     return bench
 
@@ -90,34 +83,16 @@ def _tenant_main(spec: TenantSpec, conn) -> None:
 
     try:
         bench = _build_benchmark(spec)
-        executor = ThreadedExecutor(bench.database,
-                                    take_batch=spec.take_batch,
-                                    buffer_samples=spec.buffer_samples)
+        executor = ThreadedExecutor(bench.database)
         manager = WorkloadManager(bench, spec.config, clock=executor.clock)
-        executor.add_workload(manager, workers=spec.workers)
+        executor.add_workload(manager)
         conn.send(("ready", spec.config.tenant))
         message = conn.recv()
         if message[0] != "go":
             raise ConfigurationError(
                 f"tenant {spec.config.tenant!r} expected 'go', "
                 f"got {message[0]!r}")
-        timeout = message[1]
-
-        stop_stats = threading.Event()
-
-        def _stats_loop() -> None:
-            while not stop_stats.wait(spec.stats_interval):
-                conn.send(("stats", _light_stats(manager)))
-
-        stats_thread = threading.Thread(
-            target=_stats_loop, name=f"{spec.config.tenant}-stats",
-            daemon=True)
-        stats_thread.start()
-        try:
-            report = executor.run(timeout=timeout)
-        finally:
-            stop_stats.set()
-            stats_thread.join(timeout=2.0)
+        report = executor.run(timeout=message[1])
 
         samples = manager.results.samples()
         for start in range(0, len(samples), SAMPLE_CHUNK):
@@ -143,24 +118,11 @@ def _tenant_main(spec: TenantSpec, conn) -> None:
         conn.close()
 
 
-def _light_stats(manager: WorkloadManager) -> dict:
-    """The periodic relay payload: counters only, never samples."""
-    counters = manager.queue.counters()
-    return {
-        "tenant": manager.tenant,
-        "state": manager.state,
-        "samples": len(manager.results),
-        "postponed": manager.results.postponed,
-        "queue_depth": counters["depth"],
-        "taken": counters["taken"],
-    }
-
-
 class _TenantHandle:
     """Parent-side state for one tenant child."""
 
     __slots__ = ("spec", "process", "conn", "relay", "results", "report",
-                 "error", "stats", "ready")
+                 "error")
 
     def __init__(self, spec: TenantSpec, process, conn) -> None:
         self.spec = spec
@@ -170,25 +132,21 @@ class _TenantHandle:
         self.results = Results()
         self.report: Optional[dict] = None
         self.error: Optional[str] = None
-        self.stats: dict = {}
-        self.ready = False
 
 
 class ProcessExecutor:
     """Runs each tenant's worker pool in its own OS process.
 
-    Mirrors the coordinator API (``add_tenant`` / ``run`` /
-    ``per_tenant_results`` / ``combined_results``) so multi-tenant
-    drivers can switch substrates without restructuring.
+    ``add_tenant`` one :class:`TenantSpec` per tenant, ``run``, then read
+    ``per_tenant_results`` or ``combined_results``.
     """
 
-    def __init__(self, stats_interval: float = 1.0) -> None:
+    def __init__(self) -> None:
         # fork inherits the parent's imports (no re-exec, ~10x faster
         # startup) and keeps closures picklable-free; fall back to the
         # platform default (spawn) where fork is unavailable.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else None)
-        self.stats_interval = stats_interval
         self._tenants: list[_TenantHandle] = []
         self.last_run_report: dict = {}
 
@@ -197,7 +155,6 @@ class ProcessExecutor:
                for h in self._tenants):
             raise ConfigurationError(
                 f"duplicate tenant name {spec.config.tenant!r}")
-        spec.stats_interval = spec.stats_interval or self.stats_interval
         self._tenants.append(_TenantHandle(spec, None, None))
         return spec
 
@@ -235,7 +192,6 @@ class ProcessExecutor:
                 raise ConfigurationError(
                     f"tenant {handle.spec.config.tenant!r} failed to "
                     f"load: {payload}")
-            handle.ready = True
 
         for handle in self._tenants:
             handle.conn.send(("go", timeout))
@@ -282,9 +238,7 @@ class ProcessExecutor:
                 if handle.report is None and handle.error is None:
                     handle.error = "tenant pipe closed before 'done'"
                 return
-            if kind == "stats":
-                handle.stats = payload
-            elif kind == "samples":
+            if kind == "samples":
                 handle.results.record_batch(payload)
             elif kind == "done":
                 handle.report = payload
@@ -302,11 +256,6 @@ class ProcessExecutor:
                 handle.process.join(2.0)
 
     # -- reporting --------------------------------------------------------
-
-    def live_stats(self) -> dict[str, dict]:
-        """Latest periodic relay payload per tenant."""
-        return {h.spec.config.tenant: dict(h.stats)
-                for h in self._tenants if h.stats}
 
     def per_tenant_results(self) -> dict[str, Results]:
         return {h.spec.config.tenant: h.results for h in self._tenants}

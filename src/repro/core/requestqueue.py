@@ -126,7 +126,7 @@ class RequestQueue:
         The dropped requests were offered but will never be delivered, so
         they count as postponed — otherwise offered/taken/postponed
         accounting silently drifts on every rate-changing transition.
-        Blocked :meth:`take` callers are woken so they re-check state
+        Blocked :meth:`take_batch` callers are woken so they re-check state
         instead of sleeping until a cleared request's arrival time.
         """
         with self._not_empty:
@@ -162,26 +162,17 @@ class RequestQueue:
 
     # -- consumer side (workers) -----------------------------------------------
 
-    def take(self, timeout: Optional[float] = None) -> Optional[Request]:
-        """Pop the next request whose arrival time has come.
-
-        Blocks while the queue is empty, paused, or the head request's
-        arrival time is in the future.  Returns ``None`` on shutdown or
-        timeout.  Only meaningful with a real clock; the simulated executor
-        uses :meth:`poll` instead.
-        """
-        batch = self.take_batch(1, timeout=timeout)
-        return batch[0] if batch else None
-
     def take_batch(self, max_n: int,
                    timeout: Optional[float] = None) -> list[Request]:
         """Pop up to ``max_n`` due requests in one pass, arrival-ordered.
 
         The hot path of the batched driver: a worker drains a whole run
         of due requests under one lock acquisition instead of one
-        condition-variable dance per request.  Blocks (like :meth:`take`)
-        until at least one request is due; returns ``[]`` on shutdown or
-        timeout.
+        condition-variable dance per request.  Blocks while the queue is
+        empty, paused, or the head request's arrival time is in the
+        future, until at least one request is due; returns ``[]`` on
+        shutdown or timeout.  Only meaningful with a real clock; the
+        simulated executor uses :meth:`poll` instead.
         """
         if max_n <= 0:
             raise ConfigurationError("take_batch max_n must be positive")

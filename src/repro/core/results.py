@@ -263,29 +263,6 @@ class SampleBuffer:
         return len(self._buffer)
 
 
-class DirectRecorder:
-    """Unbuffered recorder with the :class:`SampleBuffer` interface.
-
-    The seed-compatibility mode of the executors (``buffer_samples=False``)
-    and the substrate for apples-to-apples overhead benchmarks: every
-    :meth:`add` is an immediate per-sample :meth:`Results.record`.
-    """
-
-    __slots__ = ("_results",)
-
-    def __init__(self, results: Results) -> None:
-        self._results = results
-
-    def add(self, sample: LatencySample) -> None:
-        self._results.record(sample)
-
-    def flush(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-
 def percentile(sorted_values: list[float], pct: float) -> float:
     """Linear-interpolated percentile of pre-sorted values."""
     if not sorted_values:

@@ -138,41 +138,6 @@ def test_run_again_without_fresh_workload_rejected(db):
 # -- batched hot path (batched take + buffered recording) ----------------
 
 
-def test_take_batch_knob_validated(db):
-    with pytest.raises(ConfigurationError):
-        ThreadedExecutor(db, take_batch=0)
-    with pytest.raises(ConfigurationError):
-        ThreadedExecutor(db, take_batch=100000)
-    assert ThreadedExecutor(db, take_batch=32).take_batch == 32
-
-
-def test_take_batch_env_default(db, monkeypatch):
-    from repro.core.executors import TAKE_BATCH_ENV, default_take_batch
-    monkeypatch.delenv(TAKE_BATCH_ENV, raising=False)
-    assert default_take_batch() == 16
-    monkeypatch.setenv(TAKE_BATCH_ENV, "4")
-    assert ThreadedExecutor(db).take_batch == 4
-    monkeypatch.setenv(TAKE_BATCH_ENV, "zero")
-    with pytest.raises(ConfigurationError):
-        default_take_batch()
-
-
-@pytest.mark.slow
-def test_seed_compat_mode_matches_batched_delivery(db):
-    """take_batch=1 + unbuffered recording still delivers the rate."""
-    bench = MiniBenchmark(db, seed=42)
-    bench.load()
-    cfg = WorkloadConfiguration(benchmark="mini", workers=4, seed=1,
-                                phases=[Phase(duration=2, rate=150)])
-    manager = WorkloadManager(bench, cfg)
-    executor = ThreadedExecutor(db, take_batch=1, buffer_samples=False)
-    executor.add_workload(manager)
-    executor.run(timeout=15)
-    assert manager.results.committed() >= 270
-    # Unbuffered mode records per sample: no batch flushes.
-    assert manager.results.recorder_stats()["sample_batches"] == 0
-
-
 @pytest.mark.slow
 def test_batched_run_flushes_all_samples(db):
     """No tail samples may be stranded in worker-local buffers."""

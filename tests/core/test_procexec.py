@@ -12,7 +12,7 @@ def make_spec(i, rate=150, duration=2.0, benchmark="voter"):
         benchmark=benchmark, scale_factor=0.1, workers=2, seed=42 + i,
         tenant=f"tenant-{i}",
         phases=[Phase(duration=duration, rate=rate)])
-    return TenantSpec(config=config, take_batch=8)
+    return TenantSpec(config=config)
 
 
 def test_requires_tenants():
@@ -28,7 +28,7 @@ def test_duplicate_tenant_rejected():
 
 
 def test_two_tenant_run_relays_results():
-    executor = ProcessExecutor(stats_interval=0.5)
+    executor = ProcessExecutor()
     for i in range(2):
         executor.add_tenant(make_spec(i))
     report = executor.run(timeout=15.0)

@@ -83,14 +83,14 @@ def test_shutdown_unblocks_take():
     result = {}
 
     def taker():
-        result["request"] = queue.take(timeout=5.0)
+        result["batch"] = queue.take_batch(1, timeout=5.0)
 
     thread = threading.Thread(target=taker, daemon=True)
     thread.start()
     time.sleep(0.05)
     queue.shutdown()
     thread.join(2.0)
-    assert result["request"] is None
+    assert result["batch"] == []
 
 
 def test_take_blocks_until_arrival_time():
@@ -98,16 +98,16 @@ def test_take_blocks_until_arrival_time():
     now = queue.clock.now()
     queue.offer_batch([now + 0.15])
     started = time.monotonic()
-    request = queue.take(timeout=2.0)
+    batch = queue.take_batch(1, timeout=2.0)
     waited = time.monotonic() - started
-    assert request is not None
+    assert len(batch) == 1
     assert waited >= 0.10
 
 
 def test_take_timeout_returns_none():
     queue = RequestQueue()
     started = time.monotonic()
-    assert queue.take(timeout=0.1) is None
+    assert queue.take_batch(1, timeout=0.1) == []
     assert time.monotonic() - started < 1.0
 
 
@@ -116,14 +116,14 @@ def test_take_wakes_on_offer():
     result = {}
 
     def taker():
-        result["request"] = queue.take(timeout=5.0)
+        result["batch"] = queue.take_batch(1, timeout=5.0)
 
     thread = threading.Thread(target=taker, daemon=True)
     thread.start()
     time.sleep(0.05)
     queue.offer_batch([queue.clock.now()])
     thread.join(2.0)
-    assert result["request"] is not None
+    assert len(result["batch"]) == 1
 
 
 def test_counters():
@@ -217,7 +217,7 @@ def test_clear_wakes_blocked_take():
     result = {}
 
     def taker():
-        result["request"] = queue.take()
+        result["batch"] = queue.take_batch(1)
 
     thread = threading.Thread(target=taker, daemon=True)
     thread.start()
@@ -229,7 +229,7 @@ def test_clear_wakes_blocked_take():
     queue.shutdown()
     thread.join(2.0)
     assert not thread.is_alive()
-    assert result["request"] is None
+    assert result["batch"] == []
 
 
 # -- batched take -----------------------------------------------------------
@@ -299,10 +299,12 @@ def test_take_batch_timeout_returns_empty():
 
 
 def test_take_delegates_to_batched_path():
+    """A single-request take is ``take_batch(1)``: it pops the head only."""
     queue = RequestQueue(clock=SimClock())
     queue.offer_batch([0.0, 0.1])
-    request = queue.take(timeout=0.0)
-    assert request is not None and request.arrival_time == 0.0
+    batch = queue.take_batch(1, timeout=0.0)
+    assert [request.arrival_time for request in batch] == [0.0]
+    assert len(queue) == 1
     assert_invariant(queue)
 
 

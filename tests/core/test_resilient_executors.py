@@ -238,7 +238,7 @@ def test_threaded_breaker_admits_one_probe_per_window(db):
     manager.set_fault_profile({"abort_probability": 1.0})
     manager.set_resilience(BREAKER)
     states = _log_outcome_states(manager)
-    executor = ThreadedExecutor(db, take_batch=16)
+    executor = ThreadedExecutor(db)
     executor.add_workload(manager)
     assert executor.run(timeout=15)["ok"]
     _assert_one_probe_per_window(manager, states)

@@ -240,16 +240,6 @@ def test_sample_buffer_capacity_validated():
         Results().buffered(capacity=0)
 
 
-def test_direct_recorder_is_unbuffered():
-    from repro.core.results import DirectRecorder
-    results = Results()
-    recorder = DirectRecorder(results)
-    recorder.add(sample(start=0.0))
-    assert len(results) == 1
-    assert recorder.flush() == 0
-    assert results.recorder_stats()["sample_batches"] == 0
-
-
 def test_merge_uses_one_batch_per_source():
     sources = []
     for i in range(3):

@@ -12,7 +12,11 @@ entered while the probe drives the tree's entry points in this process:
 * one threaded TPC-C ``repro run`` with injected faults and retries;
 * ``repro serve`` with an ``ApiClient`` session: create, start, steer,
   poll, stop and delete a hosted workload;
-* ``repro lint`` over the tree's ``src``.
+* ``repro lint`` over the tree's ``src``;
+* every ``benchmarks/bench_*.py`` through ``pytest.main``, with the
+  tables they write sent to a temporary directory instead of
+  ``benchmarks/results``;
+* a 1 s ``perfbench`` run of each of its workloads, untraced and traced.
 
 It then walks the tree's sources and prints, per module, the functions
 (``def`` statements, methods and nested functions included) that none of
@@ -25,8 +29,10 @@ and benches, or from nowhere.
 defaults to the checkout this script lives in, so the probe can run over
 another tree (for example a parent made with ``git archive``) to compare
 before and after a change.  The hook slows everything it drives several
-times over, so the run takes about five minutes, most of it in the
-examples.  It is not a CI job.
+times over: the run takes about twenty minutes on a 2-vCPU VM, most of
+it in the benches, and the wall-clock benches' speed floors may fail
+under it; a failed step is reported and the probe goes on.  It is not a
+CI job.
 """
 
 from __future__ import annotations
@@ -139,6 +145,58 @@ def _runs(out_dir: Path) -> None:
         "--fault-disconnects", "0.01", "--retries", "3"))
 
 
+class _Failures:
+    """pytest plugin: the ids of the tests that failed."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.failed:
+            self.ids.append(report.nodeid)
+
+
+def _benches(tree: Path, out_dir: Path) -> None:
+    """Every bench through pytest.  ``--benchmark-disable`` runs each
+    bench body once and directly: pytest-benchmark otherwise switches
+    the profile hook off around the timed function."""
+    import conftest  # the tree's benchmarks/conftest.py, as pytest loads it
+    import pytest
+    conftest.RESULTS_DIR = out_dir / "results"
+    files = sorted(str(path)
+                   for path in (tree / "benchmarks").glob("bench_*.py"))
+    failures = _Failures()
+    code = pytest.main(["-q", "-p", "no:cacheprovider",
+                        "--benchmark-disable", *files], plugins=[failures])
+    if code != 0:
+        raise RuntimeError(f"pytest exited {code}; failed: "
+                           f"{', '.join(failures.ids) or 'none'}")
+
+
+def _perfbench(tree: Path) -> None:
+    """Each perfbench workload for one second, untraced and traced.
+    perfbench pins the calling thread to one CPU; the pin is undone
+    after."""
+    sys.path.insert(0, str(tree / "perfbench"))
+    run = runpy.run_path(str(tree / "perfbench" / "run.py"))["main"]
+    import workloads  # perfbench's, importable once its directory is
+
+    def once(name: str, trace: int) -> None:
+        code = run(["--workload", name, "--seed", "1", "--seconds", "1",
+                    "--trace", str(trace)])
+        if code != 0:
+            raise RuntimeError(f"perfbench exited {code}")
+
+    cpus = os.sched_getaffinity(0)
+    try:
+        for name in sorted(workloads.WORKLOADS):
+            for trace in (0, 1):
+                _step(f"perfbench {name} --trace {trace}",
+                      lambda name=name, trace=trace: once(name, trace))
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def _client_session(url: str) -> None:
     """Drive one hosted workload through the v1 API over HTTP."""
     from repro.api import ApiClient
@@ -229,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tree = Path(args.tree).resolve()
     src = tree / "src"
-    sys.path.insert(0, str(src))
+    sys.path[:0] = [str(src), str(tree / "benchmarks")]
     os.chdir(tree)
 
     threading.setprofile(_hook)
@@ -243,6 +301,9 @@ def main(argv=None) -> int:
             _runs(Path(out_dir))
             _step("repro serve + ApiClient", _serve)
             _step("repro lint src", lambda: _cli("lint", str(src)))
+            _step("benchmarks/bench_*.py",
+                  lambda: _benches(tree, Path(out_dir)))
+            _perfbench(tree)
     finally:
         sys.setprofile(None)
         threading.setprofile(None)

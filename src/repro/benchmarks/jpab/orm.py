@@ -109,11 +109,6 @@ class EntityManager:
                     (entity.id,))
         self._identity.pop((entity.__table__, entity.id), None)
 
-    def query_count(self, entity_cls: Type[Entity]) -> int:
-        cur = self._conn.cursor()
-        cur.execute(f"SELECT COUNT(*) FROM {entity_cls.__table__}")
-        return cur.fetchone()[0]
-
     # -- transaction demarcation ----------------------------------------------
 
     def commit(self) -> None:

@@ -33,6 +33,12 @@ STATE_COMPLETED = "completed"
 
 #: Requested rates below this pause the workload (character on the floor).
 MIN_PLAYABLE_RATE = 0.5
+#: Seconds of delivered throughput the character's altitude averages.
+MEASURE_WINDOW = 2.0
+#: Ticks the character may spend outside a corridor before it crashes.
+CRASH_GRACE_TICKS = 2
+#: Seconds after the start during which no collision is checked.
+WARMUP = 5.0
 
 
 @dataclass
@@ -48,18 +54,12 @@ class GameSession:
     def __init__(self, control: ControlApi, tenant: str, course: Course,
                  character: Optional[Character] = None,
                  pilot: Optional[Pilot] = None,
-                 measure_window: float = 2.0,
-                 crash_grace_ticks: int = 2,
-                 warmup: float = 5.0,
                  halt_on_crash: bool = True) -> None:
         self.control = control
         self.tenant = tenant
         self.course = course
         self.character = character or Character()
         self.pilot = pilot
-        self.measure_window = measure_window
-        self.crash_grace_ticks = crash_grace_ticks
-        self.warmup = warmup
         self.halt_on_crash = halt_on_crash
 
         self.state = STATE_READY
@@ -130,13 +130,13 @@ class GameSession:
         # windowed throughput as /status, but O(bins) per poll — a 60 Hz
         # game loop over a long run must not rescan the sample list.
         metrics = self.control.metrics(self.tenant, now,
-                                       window=self.measure_window)
+                                       window=MEASURE_WINDOW)
         delivered = float(metrics["window"]["throughput"])
         self.character.observe(delivered)
         self.altitude_history.append(
             (now, self.character.requested_rate, delivered))
 
-        if now - self._started_at >= self.warmup:
+        if now - self._started_at >= WARMUP:
             self._check_collision(now)
         if self.state == STATE_RUNNING:
             self.score += dt
@@ -197,7 +197,7 @@ class GameSession:
             self._out_of_corridor_ticks = 0
             return
         self._out_of_corridor_ticks += 1
-        if self._out_of_corridor_ticks > self.crash_grace_ticks:
+        if self._out_of_corridor_ticks > CRASH_GRACE_TICKS:
             self.state = STATE_CRASHED
             self._log("crash", {
                 "altitude": self.character.altitude,

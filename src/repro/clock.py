@@ -21,9 +21,8 @@ import heapq
 import itertools
 import math
 import os
-import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 #: Wall seconds a CPU-bound loop (a simulation, a threaded worker) runs
 #: between two GIL yields.  CPython hands the GIL to a waiting thread only
@@ -47,10 +46,6 @@ class Clock:
     def sleep(self, seconds: float) -> None:
         """Block (or virtually wait) for ``seconds``."""
         raise NotImplementedError
-
-    @property
-    def is_virtual(self) -> bool:
-        return False
 
 
 class RealClock(Clock):
@@ -87,10 +82,6 @@ class SimClock(Clock):
             "SimClock components must schedule events via call_at/call_later "
             "instead of sleeping"
         )
-
-    @property
-    def is_virtual(self) -> bool:
-        return True
 
     # -- scheduler ---------------------------------------------------------
 
@@ -175,26 +166,3 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
-
-class StoppableSleeper:
-    """Interruptible sleeping for threaded workers.
-
-    ``time.sleep`` cannot be interrupted, which makes shutting down a worker
-    mid think-time slow.  This helper sleeps on an event so that ``wake`` (or
-    shutdown) returns immediately.
-    """
-
-    def __init__(self, clock: Optional[Clock] = None) -> None:
-        self._event = threading.Event()
-        self._clock = clock or RealClock()
-
-    def sleep(self, seconds: float) -> bool:
-        """Sleep up to ``seconds``; return True if interrupted early."""
-        if seconds <= 0:
-            return False
-        interrupted = self._event.wait(seconds)
-        self._event.clear()
-        return interrupted
-
-    def wake(self) -> None:
-        self._event.set()

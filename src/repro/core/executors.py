@@ -31,8 +31,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from ..clock import (Clock, GilYielder, RealClock, SimClock,
-                     StoppableSleeper)
+from ..clock import Clock, GilYielder, RealClock, SimClock
 from ..engine.database import Database
 from ..engine.dbapi import connect
 from ..engine.service import DbmsPersonality, LoadTracker, get_personality
@@ -228,7 +227,6 @@ class ThreadedExecutor:
     def _worker_loop(self, manager: WorkloadManager, worker_id: int) -> None:
         worker = _open_worker(self.database, manager, worker_id)
         breaker = manager.resilience.breaker
-        sleeper = StoppableSleeper()
         # Yields between transactions, when the worker holds no engine lock.
         yielder = GilYielder(self._worker_count)
         # Worker-local sample recorder: per-sample appends, epoch flushes.
@@ -280,7 +278,7 @@ class ThreadedExecutor:
                     manager.stop()
                     raise
                 if think > 0:
-                    sleeper.sleep(think)
+                    self._stop.wait(think)
         finally:
             recorder.flush()
             worker.conn.close()

@@ -46,7 +46,6 @@ class WorkloadManager:
     def __init__(self, benchmark: BenchmarkModule,
                  config: WorkloadConfiguration,
                  clock: Optional[Clock] = None,
-                 results: Optional[Results] = None,
                  queue_policy: str = POLICY_CAP) -> None:
         if not benchmark.loaded:
             raise ConfigurationError(
@@ -58,7 +57,7 @@ class WorkloadManager:
         self.config = config
         self.clock = clock or RealClock()
         self.queue = RequestQueue(clock=self.clock, policy=queue_policy)
-        self.results = results or Results()
+        self.results = Results()
         self.tenant = config.tenant
 
         self._lock = threading.RLock()

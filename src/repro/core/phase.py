@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from ..errors import ConfigurationError
-from ..rand import DiscreteDistribution
 
 #: Rate sentinel: open loop at a large configurable constant (paper §2.2.1).
 RATE_UNLIMITED = "unlimited"
@@ -69,14 +68,6 @@ class Phase:
     # -- derived views ---------------------------------------------------
 
     @property
-    def is_rate_limited(self) -> bool:
-        return self.rate not in (RATE_UNLIMITED, RATE_DISABLED)
-
-    @property
-    def is_closed_loop(self) -> bool:
-        return self.rate == RATE_DISABLED
-
-    @property
     def effective_rate(self) -> float:
         """Arrivals per second fed to the request queue."""
         if self.rate == RATE_UNLIMITED:
@@ -86,25 +77,8 @@ class Phase:
                 "closed-loop phases have no arrival rate")
         return float(self.rate)
 
-    def mixture(self) -> DiscreteDistribution:
-        if not self.weights:
-            raise ConfigurationError("phase has no transaction weights")
-        names = list(self.weights)
-        return DiscreteDistribution(names, [self.weights[n] for n in names])
-
-    def with_rate(self, rate: object) -> "Phase":
-        self._validate_rate(rate)
-        return replace(self, rate=rate)
-
     def with_weights(self, weights: Mapping[str, float]) -> "Phase":
         return replace(self, weights=dict(weights))
-
-    def describe(self) -> str:
-        rate = (self.rate if isinstance(self.rate, str)
-                else f"{float(self.rate):g} tps")
-        label = f" {self.name!r}" if self.name else ""
-        return (f"Phase{label}: {self.duration:g}s @ {rate}, "
-                f"{self.arrival} arrivals, {len(self.weights)} txn types")
 
 
 def normalize_weights(weights: Mapping[str, float]) -> dict[str, float]:

@@ -47,6 +47,8 @@ from .results import Results, merge
 
 #: Samples per pipe message when relaying the final sample set.
 SAMPLE_CHUNK = 1024
+#: Seconds each tenant may take to load before the run gives up.
+READY_TIMEOUT = 120.0
 
 
 @dataclass
@@ -160,8 +162,7 @@ class ProcessExecutor:
 
     # -- run -------------------------------------------------------------
 
-    def run(self, timeout: Optional[float] = None,
-            ready_timeout: float = 120.0) -> dict:
+    def run(self, timeout: Optional[float] = None) -> dict:
         """Load all tenants, release them together, collect results.
 
         The ready/go barrier guarantees data loading (which can dwarf the
@@ -181,11 +182,11 @@ class ProcessExecutor:
 
         # Barrier: wait until every tenant has loaded.
         for handle in self._tenants:
-            if not handle.conn.poll(ready_timeout):
+            if not handle.conn.poll(READY_TIMEOUT):
                 self.stop()
                 raise ConfigurationError(
                     f"tenant {handle.spec.config.tenant!r} did not become "
-                    f"ready within {ready_timeout}s")
+                    f"ready within {READY_TIMEOUT}s")
             kind, payload = handle.conn.recv()
             if kind == "error":
                 self.stop()

@@ -17,7 +17,6 @@ Fractional rates are honoured with a deficit accumulator so that, e.g.,
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from ..errors import ConfigurationError
 from ..rand import make_rng
@@ -69,10 +68,3 @@ class ArrivalSchedule:
         else:
             offsets = exponential_offsets(count, self._rng)
         return [second_start + offset for offset in offsets]
-
-    def stream(self, start: float) -> Iterator[list[float]]:
-        """Infinite stream of per-second batches starting at ``start``."""
-        second = start
-        while True:
-            yield self.batch(second)
-            second += 1.0

@@ -58,15 +58,6 @@ class Request:
         self.arrival_time = arrival_time
         self.seq = seq
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Request):
-            return NotImplemented
-        return (self.arrival_time, self.seq) == \
-            (other.arrival_time, other.seq)
-
-    def __hash__(self) -> int:
-        return hash((self.arrival_time, self.seq))
-
     def __repr__(self) -> str:
         return f"Request(arrival_time={self.arrival_time!r}, " \
                f"seq={self.seq!r})"

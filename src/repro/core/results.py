@@ -56,18 +56,6 @@ class LatencySample:
         #: (buffer epoch check, window ingest) reads it several times.
         self.end = start + queue_delay + latency
 
-    def _key(self) -> tuple:
-        return (self.txn_name, self.start, self.queue_delay, self.latency,
-                self.status, self.worker_id, self.tenant)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LatencySample):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return (f"LatencySample(txn_name={self.txn_name!r}, "
                 f"start={self.start!r}, queue_delay={self.queue_delay!r}, "

@@ -15,7 +15,7 @@ from .catalog import Catalog, ColumnDef, IndexDef, TableSchema
 from .database import Database, EngineCounters, PreparedStatement
 from .dbapi import Connection, Cursor, connect
 from .locks import EXCLUSIVE, SHARED, LockManager
-from .plan import LruCache, PlanCache, compile_statement
+from .plan import PlanCache, compile_statement
 from .service import PERSONALITIES, DbmsPersonality, get_personality
 from .storage import TableData
 from .txn import SERIALIZABLE, SNAPSHOT, Transaction, TransactionManager
@@ -26,7 +26,7 @@ __all__ = [
     "Database", "EngineCounters", "PreparedStatement",
     "Connection", "Cursor", "connect",
     "EXCLUSIVE", "SHARED", "LockManager",
-    "LruCache", "PlanCache", "compile_statement",
+    "PlanCache", "compile_statement",
     "PERSONALITIES", "DbmsPersonality", "get_personality",
     "TableData",
     "SERIALIZABLE", "SNAPSHOT", "Transaction", "TransactionManager",

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from ..errors import IntegrityError, ProgrammingError
 from .catalog import Catalog, ColumnDef, IndexDef, TableSchema
 from .executor import Executor, Result
-from .plan import LruCache, PlanCache, compile_statement, row_finalizer
+from .plan import PlanCache, compile_statement, row_finalizer
 from .sqlparser import ast, parse
 from .storage import TableData
 from .txn import SERIALIZABLE, Transaction, TransactionManager
@@ -80,24 +80,20 @@ def _count_error(expected: int, got: int) -> ProgrammingError:
 class Database:
     """One logical database instance shared by many connections."""
 
-    def __init__(self, name: str = "main",
-                 lock_timeout: float = 5.0, clock=None, *,
-                 stmt_cache_size: int = 512,
-                 plan_cache_size: int = 256) -> None:
+    def __init__(self, name: str = "main", clock=None) -> None:
         self.name = name
         self.catalog = Catalog()
         # ``clock`` (a repro.clock.Clock or monotonic callable) feeds the
         # lock manager's wait deadlines; injected so simulated databases
         # never consult the wall clock.
-        self.lock_manager = LockManager(timeout=lock_timeout, clock=clock)
+        self.lock_manager = LockManager(clock=clock)
         self.txn_manager = TransactionManager()
         #: The storage latch (the transaction manager's).
         self.latch = self.txn_manager.latch
         self.counters = EngineCounters()
         self._tables: dict[str, TableData] = {}
         self._executor = Executor(self)
-        self._stmt_cache = LruCache(stmt_cache_size)
-        self.plan_cache = PlanCache(plan_cache_size)
+        self.plan_cache = PlanCache()
 
     # -- storage access ----------------------------------------------------
 
@@ -116,20 +112,13 @@ class Database:
 
     # -- SQL front end -------------------------------------------------------
 
-    def prepare(self, sql: str) -> ast.Statement:
-        hit, stmt = self._stmt_cache.lookup(sql)
-        if not hit:
-            stmt = parse(sql)
-            self._stmt_cache.put(sql, stmt)
-        return stmt
-
     def prepare_exec(self, sql: str) -> PreparedStatement:
         """Parse and plan ``sql`` once; a warm call is one cache hit.
 
         The plan cache holds the whole :class:`PreparedStatement` keyed
         by ``(sql, catalog_version)``, so statements prepared before a
         DDL statement can never be served after it.  Only a miss parses
-        (through the statement cache) and compiles.  DDL and
+        and compiles.  DDL and
         transaction-control statements carry no plan and are not held
         in the plan cache.
         """
@@ -137,7 +126,7 @@ class Database:
         prepared = self.plan_cache.get(key)
         if prepared is not None:
             return prepared
-        stmt = self.prepare(sql)
+        stmt = parse(sql)
         if not isinstance(stmt, _PLANNED):
             return PreparedStatement(sql, stmt, None)
         self.plan_cache.count_miss()
@@ -292,10 +281,9 @@ class Database:
     # -- statistics -------------------------------------------------------------
 
     def cache_stats(self) -> dict[str, object]:
-        """Plan/statement cache health for the monitoring stack."""
+        """Plan cache health for the monitoring stack."""
         return {
             "plan_cache": self.plan_cache.snapshot(),
-            "stmt_cache": self._stmt_cache.snapshot(),
             "catalog_version": self.catalog.version,
         }
 

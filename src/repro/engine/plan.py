@@ -26,9 +26,8 @@ aggregate usage) surface here at *prepare* time as
 :class:`ProgrammingError`.  The answers are checked against stdlib
 ``sqlite3`` by the differential tests in ``tests/engine``.
 
-The module also hosts the generic :class:`LruCache` (statement cache)
-and :class:`PlanCache` (prepared statements keyed by ``(sql,
-catalog_version)``, invalidated wholesale on DDL) with
+The module also hosts :class:`PlanCache` (prepared statements keyed by
+``(sql, catalog_version)``, invalidated wholesale on DDL) with
 hit/miss/evict/invalidation counters surfaced through the monitoring
 stack.
 """
@@ -1133,16 +1132,17 @@ def _compile_delete(stmt: ast.Delete, catalog: Catalog) -> CompiledDelete:
 
 
 # ---------------------------------------------------------------------------
-# Caches
+# Plan cache
 # ---------------------------------------------------------------------------
 
 
-class LruCache:
-    """Thread-safe LRU mapping with hit/miss/eviction counters.
+class PlanCache:
+    """Prepared statements (SQL, AST and compiled plan) keyed by
+    ``(sql, catalog_version)``, least recently used evicted first.
 
-    Used for the statement (parse) cache and subclassed by
-    :class:`PlanCache`.  ``lookup`` preserves identity: repeated hits
-    return the same cached object, which the facade tests rely on.
+    The version key already makes stale plans unreachable after DDL;
+    ``invalidate_all`` additionally drops them eagerly so the cache
+    does not carry dead weight, counting the dropped entries.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -1152,56 +1152,6 @@ class LruCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def lookup(self, key: Hashable) -> tuple[bool, object]:
-        """Return ``(hit, value)``; ``value`` is None on a miss."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                return False, None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True, value
-
-    def put(self, key: Hashable, value: object) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries[key] = value
-                self._entries.move_to_end(key)
-                return
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
-class PlanCache(LruCache):
-    """Prepared statements (SQL, AST and compiled plan) keyed by
-    ``(sql, catalog_version)``.
-
-    The version key already makes stale plans unreachable after DDL;
-    ``invalidate_all`` additionally drops them eagerly so the cache
-    does not carry dead weight, counting the dropped entries.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        super().__init__(capacity)
         self.invalidations = 0
 
     def get(self, key: Hashable) -> object:
@@ -1218,6 +1168,17 @@ class PlanCache(LruCache):
                 self.hits += 1
             return value
 
+    def put(self, key: Hashable, value: object) -> None:
+        with self._lock:
+            if key in self._entries:
+                self._entries[key] = value
+                self._entries.move_to_end(key)
+                return
+            self._entries[key] = value
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
     def count_miss(self) -> None:
         with self._lock:
             self.misses += 1
@@ -1230,7 +1191,12 @@ class PlanCache(LruCache):
         return dropped
 
     def snapshot(self) -> dict[str, int]:
-        snap = super().snapshot()
         with self._lock:
-            snap["invalidations"] = self.invalidations
-        return snap
+            return {
+                "size": len(self._entries),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "invalidations": self.invalidations,
+            }

@@ -79,9 +79,6 @@ class Transaction:
 
     # -- workspace helpers -------------------------------------------------
 
-    def pending_write(self, table: str, rowid: int) -> Optional[WriteOp]:
-        return self.workspace.get((table, rowid))
-
     def buffer_insert(self, table: str, rowid: int, values: tuple) -> None:
         self.workspace[(table, rowid)] = WriteOp(INSERT, values)
         self.unindexed.setdefault(table, set()).add(rowid)

@@ -8,13 +8,12 @@ See docs/metrics.md for bin layout and window semantics.
 """
 
 from .histogram import (DEFAULT_BINS_PER_DECADE, DEFAULT_LOWER,
-                        DEFAULT_UPPER, LatencyHistogram, PERCENTILE_POINTS,
-                        make_histogram)
+                        DEFAULT_UPPER, LatencyHistogram, PERCENTILE_POINTS)
 from .stream import StreamingMetrics, TOTAL_KEY
 from .window import ThroughputWindow
 
 __all__ = [
     "DEFAULT_BINS_PER_DECADE", "DEFAULT_LOWER", "DEFAULT_UPPER",
-    "LatencyHistogram", "PERCENTILE_POINTS", "make_histogram",
+    "LatencyHistogram", "PERCENTILE_POINTS",
     "StreamingMetrics", "TOTAL_KEY", "ThroughputWindow",
 ]

@@ -198,12 +198,3 @@ class LatencyHistogram:
 
     def __len__(self) -> int:
         return self.count
-
-
-def make_histogram(template: Optional[LatencyHistogram] = None
-                   ) -> LatencyHistogram:
-    """A fresh histogram with the template's layout (or the default)."""
-    if template is None:
-        return LatencyHistogram()
-    return LatencyHistogram(template.lower, template.upper,
-                            template.bins_per_decade)

@@ -28,7 +28,7 @@ import math
 import threading
 from typing import Mapping, Optional
 
-from .histogram import LatencyHistogram, make_histogram
+from .histogram import LatencyHistogram
 from .window import ThroughputWindow
 
 _OK = "ok"
@@ -42,12 +42,10 @@ TOTAL_KEY = "total"
 class StreamingMetrics:
     """Thread-safe streaming view over one workload's samples."""
 
-    def __init__(self, history_seconds: int = 3600,
-                 template: Optional[LatencyHistogram] = None) -> None:
+    def __init__(self, history_seconds: int = 3600) -> None:
         self._lock = threading.Lock()
-        self._template = template or LatencyHistogram()
         self.window = ThroughputWindow(history_seconds)
-        self._total = make_histogram(self._template)
+        self._total = LatencyHistogram()
         self._per_txn: dict[str, LatencyHistogram] = {}
         self._counts: dict[str, list] = {}  # name -> [ok, aborted, error]
         self._committed = 0
@@ -99,10 +97,9 @@ class StreamingMetrics:
             self._committed += 1
             histogram = self._per_txn.get(txn_name)
             if histogram is None:
-                histogram = self._per_txn[txn_name] = \
-                    make_histogram(self._template)
-            # Same bin layout (both built from the template): reuse the
-            # bin index instead of recomputing the log10 twice.
+                histogram = self._per_txn[txn_name] = LatencyHistogram()
+            # Same bin layout (both default-built): reuse the bin index
+            # instead of recomputing the log10 twice.
             self._total.record(latency, histogram.record(latency))
         elif status == _ABORTED:
             entry[1] += 1
@@ -228,5 +225,5 @@ class StreamingMetrics:
                 "latency": latency,
                 "queue": dict(self._queue),
                 "resilience": dict(self._resilience),
-                "bins": self._template.layout(),
+                "bins": self._total.layout(),
             }

@@ -154,9 +154,6 @@ class TraceAnalyzer:
 
     # -- latency ---------------------------------------------------------------
 
-    def latency_summary(self, txn_name: Optional[str] = None) -> dict:
-        return self.results.latency_percentiles(txn_name)
-
     def queue_delay_percentile(self, pct: float) -> float:
         # Queue delay has no histogram yet, so this one view reads the
         # raw samples.

@@ -110,7 +110,6 @@ def test_metrics_include_engine_cache_stats(setup):
     assert engine["plan_cache"]["hits"] > 0
     assert engine["plan_cache"]["misses"] >= 1
     assert engine["plan_cache"]["invalidations"] == 0
-    assert engine["stmt_cache"]["size"] >= 1
     assert engine["catalog_version"] >= 1
     # DDL invalidates: counters visible through the same payload.
     db = manager.benchmark.database

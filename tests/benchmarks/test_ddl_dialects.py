@@ -1,9 +1,8 @@
-"""Every benchmark's DDL parses, and dialect translation is total."""
+"""Every benchmark's DDL parses and gives every table a primary key."""
 
 import pytest
 
 from repro.benchmarks import REGISTRY, create_benchmark
-from repro.dialects import dialect_names, translate_ddl
 from repro.engine import Database
 from repro.engine.sqlparser import ast, parse
 
@@ -31,21 +30,3 @@ def test_every_table_has_primary_key(name):
         stmt = parse(sql)
         if isinstance(stmt, ast.CreateTable):
             assert stmt.primary_key, f"{name}: {stmt.name} has no PK"
-
-
-@pytest.mark.parametrize("dbms", ["postgres", "derby"])
-@pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_ddl_translates_without_residue(name, dbms):
-    bench = create_benchmark(name, Database())
-    for sql in bench.ddl():
-        translated = translate_ddl(sql, dbms)
-        assert "TINYINT" not in translated.upper() or dbms == "mysql"
-
-
-def test_translated_ddl_still_loads_in_engine():
-    """The engine accepts the derby-translated schema end to end."""
-    db = Database()
-    bench = create_benchmark("tatp", db)  # heaviest TINYINT user
-    for sql in bench.ddl():
-        db.execute(None, translate_ddl(sql, "derby"))
-    assert db.catalog.has("subscriber")

@@ -87,6 +87,28 @@ def test_threaded_stop_interrupts_run(db):
     assert manager.results.committed() < 200
 
 
+@pytest.mark.slow
+def test_stop_interrupts_think_time(db):
+    """A worker sleeping through a long think time wakes at the end of
+    the run: no leaked thread, and its sample is flushed."""
+    import time
+
+    bench = MiniBenchmark(db, seed=42)
+    bench.load()
+    cfg = WorkloadConfiguration(
+        benchmark="mini", workers=1, seed=1,
+        phases=[Phase(duration=1, rate=RATE_DISABLED, think_time=8)])
+    manager = WorkloadManager(bench, cfg)
+    executor = ThreadedExecutor(db)
+    executor.add_workload(manager)
+    started = time.monotonic()
+    report = executor.run(timeout=15)
+    elapsed = time.monotonic() - started
+    assert report["ok"] and report["leaked_threads"] == []
+    assert manager.results.committed() >= 1
+    assert elapsed < 4.0
+
+
 def test_run_without_workloads_rejected(db):
     with pytest.raises(ConfigurationError):
         ThreadedExecutor(db).run()

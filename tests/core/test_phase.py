@@ -10,21 +10,17 @@ from repro.errors import ConfigurationError
 
 def test_basic_phase():
     phase = Phase(duration=60, rate=100, weights={"A": 50, "B": 50})
-    assert phase.is_rate_limited
-    assert not phase.is_closed_loop
     assert phase.effective_rate == 100.0
 
 
 def test_unlimited_rate_uses_large_constant():
     phase = Phase(duration=10)
     assert phase.rate == RATE_UNLIMITED
-    assert not phase.is_rate_limited
     assert phase.effective_rate == UNLIMITED_RATE_CONSTANT
 
 
 def test_disabled_rate_is_closed_loop():
     phase = Phase(duration=10, rate=RATE_DISABLED)
-    assert phase.is_closed_loop
     with pytest.raises(ConfigurationError):
         phase.effective_rate
 
@@ -62,34 +58,15 @@ def test_negative_think_time_rejected():
         Phase(duration=10, think_time=-0.1)
 
 
-def test_mixture_distribution_sampling():
-    phase = Phase(duration=10, weights={"A": 100, "B": 0})
-    import random
-    dist = phase.mixture()
-    assert all(dist.sample(random.Random(i)) == "A" for i in range(20))
-
-
-def test_mixture_requires_weights():
-    with pytest.raises(ConfigurationError):
-        Phase(duration=10).mixture()
-
-
-def test_with_rate_and_with_weights_copies():
+def test_with_weights_copies():
     phase = Phase(duration=10, rate=50, weights={"A": 1})
-    faster = phase.with_rate(200)
-    assert faster.rate == 200 and phase.rate == 50
     reweighted = phase.with_weights({"A": 2})
-    assert reweighted.weights == {"A": 2}
+    assert reweighted.weights == {"A": 2} and phase.weights == {"A": 1}
 
 
 def test_exponential_arrival_accepted():
     assert Phase(duration=5, arrival=ARRIVAL_EXPONENTIAL).arrival == \
         ARRIVAL_EXPONENTIAL
-
-
-def test_describe_is_readable():
-    text = Phase(duration=5, rate=25, weights={"A": 1}, name="warm").describe()
-    assert "warm" in text and "25" in text
 
 
 def test_normalize_weights_sums_to_100():

@@ -71,15 +71,6 @@ def test_exponential_schedule_reproducible_with_seed():
     assert a.batch(0.0) == b.batch(0.0)
 
 
-def test_stream_advances_seconds():
-    schedule = ArrivalSchedule(3, "uniform")
-    stream = schedule.stream(5.0)
-    first = next(stream)
-    second = next(stream)
-    assert all(5.0 <= t < 6.0 for t in first)
-    assert all(6.0 <= t < 7.0 for t in second)
-
-
 @given(rate=st.floats(min_value=0.1, max_value=500),
        seconds=st.integers(min_value=1, max_value=60))
 @settings(max_examples=80, deadline=None)

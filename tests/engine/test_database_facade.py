@@ -1,4 +1,4 @@
-"""Database facade: statement cache, counters, stats reporting."""
+"""Database facade: prepared-statement reuse, counters, stats reporting."""
 
 import pytest
 
@@ -9,10 +9,10 @@ from ..conftest import execute
 
 
 def test_statement_cache_reuses_parse(db):
-    first = db.prepare("SELECT 1 + 1")
-    second = db.prepare("SELECT 1 + 1")
+    first = db.prepare_exec("SELECT 1 + 1").stmt
+    second = db.prepare_exec("SELECT 1 + 1").stmt
     assert first is second
-    third = db.prepare("SELECT 1 + 2")
+    third = db.prepare_exec("SELECT 1 + 2").stmt
     assert third is not first
 
 

@@ -8,9 +8,10 @@ counter accounting, DDL invalidation, and access-path selection.
 
 import pytest
 
-from repro.engine import Database, LruCache, PlanCache, connect
+from repro.engine import Database, PlanCache, connect
 from repro.engine.plan import (CompiledSelect, IndexProbe, IndexWalk,
                                compile_statement)
+from repro.engine.sqlparser import parse
 from repro.errors import ProgrammingError
 
 from ..conftest import execute
@@ -122,7 +123,8 @@ def test_noop_ddl_does_not_invalidate(loaded):
 
 
 def test_plan_cache_eviction_is_counted():
-    db = Database(plan_cache_size=2)
+    db = Database()
+    db.plan_cache = PlanCache(2)
     conn = connect(db)
     execute(conn, "CREATE TABLE t (a INT PRIMARY KEY)")
     for i in range(4):
@@ -142,41 +144,28 @@ def test_compiled_execution_is_counted(loaded):
     assert db.counters.plan_executions == before + 1
 
 
-# -- statement cache (satellite: bounded LRU) --------------------------------
-
-
-def test_stmt_cache_is_bounded():
-    db = Database(stmt_cache_size=2)
-    for i in range(5):
-        db.prepare(f"SELECT {i}")
-    stats = db.cache_stats()["stmt_cache"]
-    assert stats["size"] == 2
-    assert stats["evictions"] == 3
-
-
 def test_lru_cache_evicts_least_recently_used():
-    cache = LruCache(2)
+    cache = PlanCache(2)
     cache.put("a", 1)
     cache.put("b", 2)
-    assert cache.lookup("a") == (True, 1)  # refresh "a"
-    cache.put("c", 3)                      # evicts "b"
-    assert cache.lookup("b") == (False, None)
-    assert cache.lookup("a") == (True, 1)
-    assert cache.lookup("c") == (True, 3)
+    assert cache.get("a") == 1  # refresh "a"
+    cache.put("c", 3)           # evicts "b"
+    assert cache.get("b") is None
+    assert cache.get("a") == 1
+    assert cache.get("c") == 3
     stats = cache.snapshot()
     assert stats["hits"] == 3
-    assert stats["misses"] == 1
+    assert stats["misses"] == 0  # the caller counts misses
     assert stats["evictions"] == 1
 
 
 def test_cache_stats_exposed_via_database_stats(loaded):
     db, _ = loaded
     caches = db.stats()["caches"]
-    assert set(caches) == {"plan_cache", "stmt_cache", "catalog_version"}
-    for key in ("size", "capacity", "hits", "misses", "evictions"):
+    assert set(caches) == {"plan_cache", "catalog_version"}
+    for key in ("size", "capacity", "hits", "misses", "evictions",
+                "invalidations"):
         assert key in caches["plan_cache"]
-        assert key in caches["stmt_cache"]
-    assert "invalidations" in caches["plan_cache"]
 
 
 # -- access-path selection ---------------------------------------------------
@@ -293,7 +282,7 @@ def test_scan_stats_reflect_chosen_access_path(loaded):
 
 def test_compile_statement_resolves_join_probe(loaded):
     db, _ = loaded
-    stmt = db.prepare(
+    stmt = parse(
         "SELECT t1.a FROM t t1 JOIN t t2 ON t2.b = t1.b WHERE t1.a = ?")
     plan = compile_statement(stmt, db.catalog)
     inner = plan.sources[1]

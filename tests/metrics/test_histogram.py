@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.results import percentile
-from repro.metrics import LatencyHistogram, make_histogram
+from repro.metrics import LatencyHistogram
 from repro.metrics.histogram import PERCENTILE_POINTS
 
 
@@ -127,14 +127,6 @@ def test_merge_rejects_incompatible_layouts():
     b = LatencyHistogram(bins_per_decade=8)
     with pytest.raises(ValueError):
         a.merge(b)
-
-
-def test_make_histogram_copies_template_layout():
-    template = LatencyHistogram(lower=1e-4, upper=1e2, bins_per_decade=16)
-    clone = make_histogram(template)
-    assert clone.compatible_with(template)
-    assert clone.count == 0
-    assert make_histogram(None).bins_per_decade == 32
 
 
 def test_copy_is_independent():

@@ -1,4 +1,4 @@
-"""Clock abstractions: real, simulated, and the interruptible sleeper."""
+"""Clock abstractions: real and simulated time, and the GIL yielder."""
 
 import statistics
 import sys
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import clock as clock_module
-from repro.clock import GilYielder, RealClock, SimClock, StoppableSleeper
+from repro.clock import GilYielder, RealClock, SimClock
 
 
 def test_real_clock_monotonic():
@@ -17,13 +17,11 @@ def test_real_clock_monotonic():
     a = clock.now()
     clock.sleep(0.01)
     assert clock.now() > a
-    assert not clock.is_virtual
     clock.sleep(-1)  # negative sleeps are no-ops
 
 
 def test_sim_clock_starts_at_given_time():
     assert SimClock(5.0).now() == 5.0
-    assert SimClock().is_virtual
 
 
 def test_sim_clock_rejects_sleep():
@@ -190,29 +188,6 @@ def test_step_returns_false_when_empty():
     clock.call_at(1.0, lambda: None)
     assert clock.step() is True
     assert clock.step() is False
-
-
-def test_sleeper_interruptible():
-    sleeper = StoppableSleeper()
-    woke = []
-
-    def sleep_long():
-        woke.append(sleeper.sleep(5.0))
-
-    thread = threading.Thread(target=sleep_long, daemon=True)
-    started = time.monotonic()
-    thread.start()
-    time.sleep(0.05)
-    sleeper.wake()
-    thread.join(2.0)
-    assert woke == [True]
-    assert time.monotonic() - started < 2.0
-
-
-def test_sleeper_timeout_returns_false():
-    sleeper = StoppableSleeper()
-    assert sleeper.sleep(0.01) is False
-    assert sleeper.sleep(0) is False
 
 
 @given(times=st.lists(st.floats(min_value=0, max_value=1000,

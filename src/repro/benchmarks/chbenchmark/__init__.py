@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 from ...core.benchmark import CLASS_TRANSACTIONAL
-from ...rand import random_string
 from ..tpcc import TpccBenchmark
 from ..tpcc.procedures import PROCEDURES as TPCC_PROCEDURES
 from .queries import QUERIES

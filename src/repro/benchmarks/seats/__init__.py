@@ -11,7 +11,6 @@ import itertools
 import random
 
 from ...core.benchmark import BenchmarkModule, CLASS_TRANSACTIONAL
-from ...rand import random_string
 from .procedures import PROCEDURES
 from .schema import (AIRLINES, AIRPORTS, CUSTOMERS_PER_SF, DDL,
                      FLIGHTS_PER_SF, FLIGHT_HORIZON_HOURS,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from ...core.benchmark import BenchmarkModule, CLASS_TRANSACTIONAL
-from ...rand import random_string
+from ...rand import random_numeric_string, random_string
 from .procedures import PROCEDURES
 from .schema import DDL, SUBSCRIBERS_PER_SF
 
@@ -54,7 +54,7 @@ class TatpBenchmark(BenchmarkModule):
                     forwards.append((
                         s_id, sf_type, start_time,
                         start_time + rng.randint(1, 8),
-                        "".join(str(rng.randint(0, 9)) for _ in range(15))))
+                        random_numeric_string(rng, 15)))
             if len(subscribers) >= 500:
                 self._flush(subscribers, access, facilities, forwards)
                 subscribers, access, facilities, forwards = [], [], [], []

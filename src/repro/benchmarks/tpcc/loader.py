@@ -6,7 +6,8 @@ import itertools
 import random
 
 from ...engine.database import Database
-from ...rand import nu_rand, random_string, tpcc_last_name
+from ...rand import (nu_rand, random_numeric_string, random_string,
+                     tpcc_last_name)
 from .schema import nurand_a
 
 
@@ -30,7 +31,7 @@ class TpccLoader:
     # -- helpers -----------------------------------------------------------
 
     def _zip(self) -> str:
-        return "".join(str(self.rng.randint(0, 9)) for _ in range(4)) + "11111"
+        return random_numeric_string(self.rng, 4) + "11111"
 
     def _address(self) -> tuple[str, str, str, str, str]:
         rng = self.rng
@@ -118,7 +119,7 @@ class TpccLoader:
                 c_id, d_id, w_id, random_string(rng, 8, 16), "OE",
                 self._customer_last_name(c_id), street_1, street_2, city,
                 state, zip_code,
-                "".join(str(rng.randint(0, 9)) for _ in range(16)),
+                random_numeric_string(rng, 16),
                 0.0, credit, 50_000.0, rng.uniform(0.0, 0.5),
                 -10.0, 10.0, 1, 0, random_string(rng, 300, 500)))
             history.append((

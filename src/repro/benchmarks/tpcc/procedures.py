@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from ...core.procedure import Procedure, UserAbort
-from ...rand import nu_rand, random_string, tpcc_last_name
+from ...rand import nu_rand, tpcc_last_name
 from .schema import nurand_a
 
 

@@ -260,11 +260,11 @@ class Database:
                             f"{width} values, got {len(raw)}")
                     row = finalize(list(raw))
                     if pk_key is not None:
-                        # Checked before commit, which would stop
-                        # half-way through the batch.
+                        # Commit checks each key against committed
+                        # state only, so duplicates within the batch
+                        # are caught here.
                         key = pk_key(row)
-                        if (key in keys
-                                or data.pk_lookup_latest(key) is not None):
+                        if key in keys:
                             raise IntegrityError(
                                 f"duplicate primary key {key!r} "
                                 f"in {table!r}")

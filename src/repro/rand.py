@@ -29,17 +29,41 @@ TPCC_SYLLABLES = (
 )
 
 
-def random_string(rng: random.Random, min_len: int, max_len: int | None = None,
-                  alphabet: str = ALPHANUMERIC) -> str:
-    """Random string with length uniform in ``[min_len, max_len]``."""
+def _alphabet_table(alphabet: str) -> tuple[bytes, bytes]:
+    """``bytes.translate`` arguments mapping a random byte to a character.
+
+    Byte ``b`` maps to ``alphabet[b % len(alphabet)]``.  The bytes at or
+    above the largest multiple of ``len(alphabet)`` are deleted, so every
+    character keeps the same chance (no modulo bias).
+    """
+    keep = 256 - 256 % len(alphabet)
+    table = bytes(ord(alphabet[b % len(alphabet)]) for b in range(keep))
+    return table + bytes(256 - keep), bytes(range(keep, 256))
+
+
+_ALPHANUMERIC_TABLE = _alphabet_table(ALPHANUMERIC)
+_DIGIT_TABLE = _alphabet_table(string.digits)
+
+
+def _random_chars(rng: random.Random, length: int,
+                  table: tuple[bytes, bytes]) -> str:
+    chars = rng.randbytes(length).translate(*table)
+    while len(chars) < length:  # top up the deleted bytes
+        chars += rng.randbytes(length - len(chars)).translate(*table)
+    return chars.decode("ascii")
+
+
+def random_string(rng: random.Random, min_len: int,
+                  max_len: int | None = None) -> str:
+    """Alphanumeric string with length uniform in ``[min_len, max_len]``."""
     if max_len is None:
         max_len = min_len
-    length = rng.randint(min_len, max_len)
-    return "".join(rng.choices(alphabet, k=length))
+    return _random_chars(rng, rng.randint(min_len, max_len),
+                         _ALPHANUMERIC_TABLE)
 
 
 def random_numeric_string(rng: random.Random, length: int) -> str:
-    return "".join(rng.choices(string.digits, k=length))
+    return _random_chars(rng, length, _DIGIT_TABLE)
 
 
 def nu_rand(rng: random.Random, a: int, x: int, y: int, c: int = 0) -> int:

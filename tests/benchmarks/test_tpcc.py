@@ -1,6 +1,7 @@
 """TPC-C: loader population rules, transaction logic, consistency."""
 
 import random
+import re
 
 import pytest
 
@@ -141,3 +142,58 @@ def test_tpcc_last_name_syllables():
     assert tpcc_last_name(0) == "BARBARBAR"
     assert tpcc_last_name(371) == "PRICALLYOUGHT"
     assert tpcc_last_name(999) == "EINGEINGEING"
+
+
+#: Spec §4.3.3.1 lengths of the loader's random strings.
+SPEC_LENGTHS = {
+    "warehouse": {"w_name": (6, 10), "w_street_1": (10, 20),
+                  "w_street_2": (10, 20), "w_city": (10, 20),
+                  "w_state": (2, 2)},
+    "district": {"d_name": (6, 10), "d_street_1": (10, 20),
+                 "d_street_2": (10, 20), "d_city": (10, 20),
+                 "d_state": (2, 2)},
+    "customer": {"c_first": (8, 16), "c_street_1": (10, 20),
+                 "c_street_2": (10, 20), "c_city": (10, 20),
+                 "c_state": (2, 2), "c_data": (300, 500)},
+    "history": {"h_data": (12, 24)},
+    "item": {"i_name": (14, 24), "i_data": (26, 50)},
+    "stock": {**{f"s_dist_{n:02d}": (24, 24) for n in range(1, 11)},
+              "s_data": (26, 50)},
+    "order_line": {"ol_dist_info": (24, 24)},
+}
+
+
+@pytest.fixture(scope="module")
+def tpcc_formats():
+    bench = TpccBenchmark(Database(), scale_factor=1, seed=11, districts=2,
+                          customers_per_district=30, items=2000,
+                          initial_orders=10)
+    bench.load()
+    return bench
+
+
+def column(bench, table, name):
+    return [row[0] for row in q(bench, f"SELECT {name} FROM {table}")]
+
+
+def test_loader_string_lengths_follow_the_spec(tpcc_formats):
+    for table, columns in SPEC_LENGTHS.items():
+        for name, (low, high) in columns.items():
+            lengths = {len(v) for v in column(tpcc_formats, table, name)}
+            assert low <= min(lengths) and max(lengths) <= high, name
+
+
+def test_loader_zip_codes_and_phones(tpcc_formats):
+    for table, name in (("warehouse", "w_zip"), ("district", "d_zip"),
+                        ("customer", "c_zip")):
+        for value in column(tpcc_formats, table, name):
+            assert re.fullmatch(r"[0-9]{4}11111", value), (name, value)
+    phones = column(tpcc_formats, "customer", "c_phone")
+    assert all(re.fullmatch(r"[0-9]{16}", p) for p in phones)
+
+
+def test_loader_marks_a_tenth_of_data_original(tpcc_formats):
+    for table, name in (("item", "i_data"), ("stock", "s_data")):
+        values = column(tpcc_formats, table, name)
+        share = sum("ORIGINAL" in v for v in values) / len(values)
+        assert 0.08 <= share <= 0.12, (name, share)

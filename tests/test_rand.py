@@ -2,12 +2,13 @@
 
 import math
 import random
+import string
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rand import (DiscreteDistribution, HotspotGenerator,
+from repro.rand import (ALPHANUMERIC, DiscreteDistribution, HotspotGenerator,
                         LatestGenerator, ScrambledZipfGenerator,
                         ZipfGenerator, exponential_interarrival, make_rng,
                         nu_rand, random_numeric_string, random_string,
@@ -16,10 +17,15 @@ from repro.rand import (DiscreteDistribution, HotspotGenerator,
 
 def test_random_string_lengths():
     rng = random.Random(1)
-    for _ in range(50):
+    lengths = set()
+    for _ in range(200):
         s = random_string(rng, 5, 10)
         assert 5 <= len(s) <= 10
+        assert set(s) <= set(ALPHANUMERIC)
+        lengths.add(len(s))
+    assert lengths == set(range(5, 11))
     assert len(random_string(rng, 7)) == 7
+    assert random_string(rng, 0) == ""
 
 
 def test_random_numeric_string():
@@ -27,6 +33,69 @@ def test_random_numeric_string():
     s = random_numeric_string(rng, 15)
     assert len(s) == 15
     assert s.isdigit()
+
+
+def test_random_strings_repeat_for_a_seed():
+    def draw(seed):
+        rng = random.Random(seed)
+        return ([random_string(rng, 1, 40) for _ in range(50)]
+                + [random_numeric_string(rng, 16) for _ in range(50)])
+
+    assert draw(9) == draw(9)
+    assert draw(9) != draw(10)
+
+
+def _chi_square(text, alphabet):
+    expected = len(text) / len(alphabet)
+    counts = Counter(text)
+    assert set(counts) <= set(alphabet)
+    return sum((counts[c] - expected) ** 2 / expected for c in alphabet)
+
+
+def test_random_string_characters_are_uniform():
+    # A plain ``byte % 62`` draws the first 8 symbols with chance 5/256
+    # against 4/256 (chi-square ~750 here); 100.9 is the 0.999 quantile at
+    # 61 degrees of freedom.
+    rng = random.Random(12)
+    text = "".join(random_string(rng, 24) for _ in range(4000))
+    assert _chi_square(text, ALPHANUMERIC) < 100.9
+
+
+def test_random_numeric_string_digits_are_uniform():
+    # A plain ``byte % 10`` draws 0-5 with chance 26/256 against 25/256
+    # (chi-square ~115 here); 27.88 is the 0.999 quantile at 9 degrees of
+    # freedom.
+    rng = random.Random(13)
+    text = "".join(random_numeric_string(rng, 16) for _ in range(12500))
+    assert _chi_square(text, string.digits) < 27.88
+
+
+class _RejectedFirstDraw(random.Random):
+    """A generator whose first ``randbytes`` draw holds only bytes >= 248,
+    all of which the alphanumeric table deletes."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randbytes(self, n):
+        self.draws += 1
+        if self.draws == 1:
+            return bytes(248 + i % 8 for i in range(n))
+        return super().randbytes(n)
+
+
+def test_rejected_bytes_are_topped_up():
+    rng = _RejectedFirstDraw(14)
+    s = random_string(rng, 30)
+    assert len(s) == 30 and set(s) <= set(ALPHANUMERIC)
+    assert rng.draws >= 2
+    rng = _RejectedFirstDraw(15)
+    s = random_numeric_string(rng, 30)
+    assert len(s) == 30 and s.isdigit()
+    # 248 and 249 are kept for digits (as 8 and 9); the rest is topped up.
+    assert s.startswith("89898989")
+    assert rng.draws >= 2
 
 
 def test_nu_rand_in_range():

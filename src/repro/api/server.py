@@ -46,6 +46,7 @@ handler thread.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import sys
 import threading
@@ -242,6 +243,8 @@ def _make_handler(control: ControlApi, host: WorkloadHost):
             except ValueError:
                 raise ApiError(f"window must be a number, got "
                                f"{raw!r}") from None
+            if not math.isfinite(window):
+                raise ApiError(f"window must be finite, got {raw!r}")
             if window <= 0:
                 raise ApiError("window must be positive")
             return window

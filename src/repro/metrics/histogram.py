@@ -3,8 +3,11 @@
 The streaming feedback path must answer "p95 latency of NewOrder right
 now" without touching the raw sample list, so each transaction type gets
 one of these: a fixed array of logarithmically spaced bins plus *exact*
-min / max / sum / count.  Recording is O(1); quantile queries are O(bins)
-and interpolate linearly inside the bin that holds the requested rank.
+min / max / sum / count.  Recording is O(1).  A quantile query takes one
+running-total pass over the populated bins (those between the bins of
+``min`` and ``max``), finds each requested rank's bin by bisection and
+interpolates linearly inside it; :meth:`LatencyHistogram.percentiles`
+answers all its points from that one pass.
 
 Accuracy contract (documented in docs/metrics.md): a reported quantile
 lies within one bin of the order statistics bounding its rank, i.e. its
@@ -22,6 +25,8 @@ numbers) are exact, not binned.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Optional
 
 #: Default bin layout: 1 µs .. 1000 s, 32 bins per decade (288 bins).
@@ -35,7 +40,7 @@ PERCENTILE_POINTS = (25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 
 
 class LatencyHistogram:
-    """Log-spaced latency histogram: O(1) record, O(bins) quantiles.
+    """Log-spaced latency histogram: O(1) record, one pass per quantile set.
 
     Values below ``lower`` land in the first bin, values above ``upper``
     in the last.  A quantile interpolates inside its bin, whose edges are
@@ -74,10 +79,6 @@ class LatencyHistogram:
         self._counts = [0] * self._nbins
 
     # -- layout -------------------------------------------------------------
-
-    @property
-    def nbins(self) -> int:
-        return self._nbins
 
     @property
     def relative_error(self) -> float:
@@ -152,38 +153,55 @@ class LatencyHistogram:
         """Interpolated percentile (``pct`` in [0, 100])."""
         if self.count == 0:
             raise ValueError("empty histogram")
-        if self.count == 1 or pct <= 0:
-            return self.min
-        if pct >= 100:
-            return self.max
-        # Same rank convention as repro.core.results.percentile: linear
-        # interpolation over a virtual sorted array of ``count`` values.
-        rank = (pct / 100.0) * (self.count - 1)
-        cumulative = 0
-        for index, n in enumerate(self._counts):
-            if n == 0:
-                continue
-            if cumulative + n > rank:
-                # Bin 0 also holds everything below ``lower`` and the
-                # last bin everything above ``upper``: their outer edge
-                # is the exact min / max.
-                lo, hi = self._edges(index)
-                lo = self.min if index == 0 else max(self.min, lo)
-                hi = self.max if index == self._nbins - 1 \
-                    else min(self.max, hi)
-                frac = min(1.0, (rank - cumulative + 0.5) / n)
-                return lo + frac * (hi - lo)
-            cumulative += n
-        return self.max
+        return self._quantiles((pct,))[0]
 
     def percentiles(self) -> dict[str, float]:
         """The summary dict the batch path produces, from bins."""
         if self.count == 0:
             return {}
         summary = {"min": self.min, "max": self.max, "avg": self.avg}
-        for pct in PERCENTILE_POINTS:
-            summary[f"p{pct:g}"] = self.quantile(pct)
+        for pct, value in zip(PERCENTILE_POINTS,
+                              self._quantiles(PERCENTILE_POINTS)):
+            summary[f"p{pct:g}"] = value
         return summary
+
+    def _quantiles(self, points: tuple[float, ...]) -> list[float]:
+        """Every point from one prefix sum over the populated span.
+
+        Every recorded value lies in a bin between those of ``min`` and
+        ``max``, so the running totals over that span locate each rank
+        with one bisection instead of a walk from bin 0.
+        """
+        count = self.count
+        first = self._index(self.min)
+        span = self._counts[first:self._index(self.max) + 1]
+        through = list(accumulate(span))  # samples up to and incl. a bin
+        last_bin = self._nbins - 1
+        out = []
+        for pct in points:
+            if count == 1 or pct <= 0:
+                out.append(self.min)
+                continue
+            if pct >= 100:
+                out.append(self.max)
+                continue
+            # Same rank convention as repro.core.results.percentile:
+            # linear interpolation over a virtual sorted array of
+            # ``count`` values.  The first bin whose running total
+            # exceeds the rank holds it (an empty bin never does).
+            rank = (pct / 100.0) * (count - 1)
+            offset = bisect_right(through, rank)
+            n = span[offset]
+            index = first + offset
+            # Bin 0 also holds everything below ``lower`` and the last
+            # bin everything above ``upper``: their outer edge is the
+            # exact min / max.
+            lo, hi = self._edges(index)
+            lo = self.min if index == 0 else max(self.min, lo)
+            hi = self.max if index == last_bin else min(self.max, hi)
+            frac = min(1.0, (rank - (through[offset] - n) + 0.5) / n)
+            out.append(lo + frac * (hi - lo))
+        return out
 
     def snapshot(self) -> dict[str, object]:
         summary = self.percentiles()

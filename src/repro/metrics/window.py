@@ -4,7 +4,8 @@ The feedback path's "instantaneous throughput over the last W seconds"
 must not depend on run length, so committed/aborted/error counts (plus
 per-transaction-type count and latency sums) are folded into one slot per
 wall/virtual second.  The ring holds ``history_seconds`` slots; recording
-is O(1) and a window query touches exactly ``W`` slots.
+is O(1) and a window query touches at most ``min(W, history_seconds)``
+slots.
 
 Window semantics (documented in docs/metrics.md):
 
@@ -111,7 +112,15 @@ class ThroughputWindow:
         committed = aborted = errors = 0
         latency_sum = 0.0
         totals: dict[str, list] = {}
-        for second in range(current - seconds, current):
+        if seconds < self.history_seconds:
+            span = range(current - seconds, current)
+        else:
+            # A window at least as long as the ring: only the seconds
+            # its slots still hold can count, so visit each slot once.
+            span = sorted(slot.second for slot in self._slots
+                          if slot.second is not None
+                          and current - seconds <= slot.second < current)
+        for second in span:
             slot = self._slots[second % self.history_seconds]
             if slot.second != second:
                 continue

@@ -154,6 +154,13 @@ def test_bad_window_param_is_400(server):
     status, _data = raw_request(server, "GET",
                                 "/v1/workloads/t1/metrics?window=-1")
     assert status == 400
+    for path in ("/v1/workloads/t1/metrics", "/v1/metrics",
+                 "/v1/workloads/t1/status"):
+        for raw in ("nan", "inf", "-inf"):
+            status, data = raw_request(server, "GET",
+                                       f"{path}?window={raw}")
+            assert status == 400, (path, raw, data)
+            assert data["error"]["code"] == "bad_request"
 
 
 @pytest.mark.slow

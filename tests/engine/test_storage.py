@@ -306,8 +306,13 @@ def test_stored_rows_cost_the_collector_a_constant():
     strict=True,
     reason="a chain nests three tuple levels and the two young "
            "generations untrack two, so committed chains reach the "
-           "oldest generation tracked; the flat row layout that fixes "
-           "it waits for the host-speed sampler fix (ROADMAP item 1)")
+           "oldest generation tracked. Flat chains (timestamps at even "
+           "positions, values at odd ones) pass this probe, but over "
+           "four tpcc-closed perfbench pairs they moved the host-speed "
+           "factor 0.612 -> 0.849 and scaled throughput 1791 -> 1510 "
+           "tps while unscaled throughput rose 1101 -> 1282 tps "
+           "(EXPERIMENTS §3-gc); the layout waits for the host-speed "
+           "sampler fix (ROADMAP item 1)")
 def test_young_collections_untrack_fresh_chains():
     db = Database()
     conn = connect(db)

@@ -141,13 +141,14 @@ def test_copy_is_independent():
 def test_bin_edges_monotone_and_cover_range():
     h = LatencyHistogram()
     previous = 0.0
-    for index in range(h.nbins):
+    nbins = h.layout()["bins"]
+    for index in range(nbins):
         lo, hi = h._edges(index)
         assert lo > previous or index == 0
         assert hi > lo
         previous = lo
     assert h._edges(0)[0] == pytest.approx(h.lower)
-    assert h._edges(h.nbins - 1)[1] == pytest.approx(h.upper)
+    assert h._edges(nbins - 1)[1] == pytest.approx(h.upper)
 
 
 def test_index_is_monotone_in_value():
@@ -156,7 +157,7 @@ def test_index_is_monotone_in_value():
     indices = [h._index(v) for v in values]
     assert indices == sorted(indices)
     assert indices[0] == 0
-    assert indices[-1] == h.nbins - 1
+    assert indices[-1] == h.layout()["bins"] - 1
     assert math.isfinite(h.relative_error)
 
 

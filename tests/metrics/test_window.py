@@ -118,3 +118,24 @@ def test_series_range_arguments():
 def test_rejects_nonpositive_history():
     with pytest.raises(ValueError):
         ThroughputWindow(history_seconds=0)
+
+
+def test_window_longer_than_the_ring_visits_only_retained_seconds():
+    """A huge window answers from the ring's slots, not 10**7 seconds."""
+    window = ThroughputWindow(history_seconds=10)
+    for second in range(30):
+        for i in range(second % 3 + 1):
+            window.record(second + 0.1 * i, "AB"[i % 2], 0.01, STATUS_OK)
+        if second % 2 == 0:
+            window.record(second + 0.5, "A", 0.01, STATUS_ABORTED)
+    stats = window.window_stats(30.0, 10**7)
+    last = range(20, 30)  # the ring's ten retained seconds
+    committed = sum(second % 3 + 1 for second in last)
+    assert stats["seconds"] == 10**7
+    assert stats["committed"] == committed
+    assert stats["throughput"] == committed / 10**7
+    assert stats["aborts_per_sec"] == 5 / 10**7
+    assert stats["per_txn"]["B"]["throughput"] == \
+        sum(1 for second in last if second % 3) / 10**7
+    # Within the ring the same seconds give the same counts.
+    assert window.window_stats(30.0, 10.0)["committed"] == committed
